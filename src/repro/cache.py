@@ -15,11 +15,16 @@ simply misses and re-sweeps — stale artefacts can never be returned.
 Besides the raw evaluation arrays the cache also persists *index
 snapshots* — the full precomputed state of a
 :class:`~repro.core.selection.FrontierIndex` (frontier rows, capacity
-order, sorted ratios, ratio blocks), keyed by the same content hash plus
-the feasibility block size.  Snapshots turn the index's three S-length
-sorts into a one-time build cost: every later process memory-maps six
+order, ratios in capacity order, ratio blocks), keyed by the same content
+hash plus the feasibility block size.  Snapshots turn the index's sorts
+into a one-time build cost: every later process memory-maps four
 ``.npy`` files and is query-ready in milliseconds, with N processes
 sharing one copy through the page cache.
+
+Every ``np.load`` here runs under one process-wide lock: on CPython 3.11
+the ``.npy`` header parser (``ast.literal_eval``) is not safe when two
+threads run it at once.  Only the header read is serialized — mmap'd
+pages still fault in lazily, outside the lock.
 
 The cache directory resolves, in order: an explicit ``cache_dir``
 argument, the ``CELIA_CACHE_DIR`` environment variable, then
@@ -33,6 +38,7 @@ import json
 import os
 import re
 import shutil
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,6 +63,14 @@ __all__ = [
 CACHE_DIR_ENV = "CELIA_CACHE_DIR"
 
 _FORMAT_VERSION = 1
+
+_NP_LOAD_LOCK = threading.Lock()
+
+
+def _np_load(path: Path, **kwargs) -> np.ndarray:
+    """``np.load`` serialized process-wide (see the module docstring)."""
+    with _NP_LOAD_LOCK:
+        return np.load(path, **kwargs)
 
 
 def default_cache_dir() -> Path:
@@ -127,9 +141,11 @@ class IndexSnapshotEntry:
 
 
 #: Arrays of one index snapshot, in write order (the metadata file lands
-#: last and marks the snapshot valid).
-_INDEX_ARRAYS = ("frontier_rows", "capacity_order", "capacity_sorted",
-                 "ratio_by_capacity", "ratio_sorted", "ratio_blocks")
+#: last and marks the snapshot valid).  Older snapshots also carry
+#: ``capacity_sorted`` and ``ratio_sorted`` files; loads ignore them, and
+#: ``clear`` and ``index_snapshots`` still see them.
+_INDEX_ARRAYS = ("frontier_rows", "capacity_order", "ratio_by_capacity",
+                 "ratio_blocks")
 
 
 _SPAN_FILE_RE = re.compile(r"^span-(\d{12})-(\d{12})\.npy$")
@@ -257,7 +273,7 @@ class SweepCheckpoint:
         values (progress lost, correctness never)."""
         path = self._cand_path(start, stop)
         try:
-            rows = np.load(path)
+            rows = _np_load(path)
             if rows.ndim != 1 or rows.dtype != np.int64:
                 raise ValueError("malformed candidate shard")
             if rows.size and (
@@ -301,7 +317,7 @@ class SweepCheckpoint:
         for start, stop in self.completed_spans():
             path = self._span_path(start, stop)
             try:
-                shard = np.load(path)
+                shard = _np_load(path)
                 if shard.shape != (2, stop - start) or \
                         shard.dtype != np.float64:
                     raise ValueError("malformed shard")
@@ -369,7 +385,8 @@ class EvaluationCache:
                     meta.get("space_size") != space_size:
                 return False
             for which in ("capacity", "unit_cost"):
-                array = np.load(self._array_path(key, which), mmap_mode="r")
+                array = _np_load(self._array_path(key, which),
+                                 mmap_mode="r")
                 if array.shape != (space_size,):
                     return False
         except (OSError, ValueError, KeyError):
@@ -399,10 +416,10 @@ class EvaluationCache:
                 if meta.get("version") != _FORMAT_VERSION or \
                         meta.get("space_size") != space.size:
                     raise ValueError("stale cache entry")
-                capacity = np.load(self._array_path(key, "capacity"),
-                                   mmap_mode="r")
-                unit_cost = np.load(self._array_path(key, "unit_cost"),
+                capacity = _np_load(self._array_path(key, "capacity"),
                                     mmap_mode="r")
+                unit_cost = _np_load(self._array_path(key, "unit_cost"),
+                                     mmap_mode="r")
                 if capacity.shape != (space.size,) or \
                         unit_cost.shape != (space.size,):
                     raise ValueError("cached arrays do not cover the space")
@@ -503,17 +520,15 @@ class EvaluationCache:
             raise ValueError("stale index snapshot")
         frontier_size = int(meta["frontier_size"])
         arrays = {
-            which: np.load(self._index_array_path(key, block_size, which),
-                           mmap_mode="r")
+            which: _np_load(self._index_array_path(key, block_size, which),
+                            mmap_mode="r")
             for which in _INDEX_ARRAYS
         }
         n_blocks = -(-space_size // block_size)
         expected = {
             "frontier_rows": ((frontier_size,), np.int64),
             "capacity_order": ((space_size,), np.int64),
-            "capacity_sorted": ((space_size,), np.float64),
             "ratio_by_capacity": ((space_size,), np.float64),
-            "ratio_sorted": ((space_size,), np.float64),
             "ratio_blocks": ((n_blocks, block_size), np.float64),
         }
         for which, (shape, dtype) in expected.items():
@@ -533,7 +548,7 @@ class EvaluationCache:
         """The persisted :class:`~repro.core.selection.FrontierIndex`
         for this evaluation, or ``None``.
 
-        A hit memory-maps all six snapshot arrays (``mmap_mode="r"``) and
+        A hit memory-maps all four snapshot arrays (``mmap_mode="r"``) and
         rehydrates the index without any pass over the space — the
         millisecond warm-start path.  The evaluation's ``capacity_order``
         cache is primed from the snapshot too, so downstream index
@@ -568,9 +583,8 @@ class EvaluationCache:
             return FrontierIndex.from_arrays(
                 evaluation,
                 frontier_rows=arrays["frontier_rows"],
-                capacity_sorted=arrays["capacity_sorted"],
+                capacity_order=arrays["capacity_order"],
                 ratio_by_capacity=arrays["ratio_by_capacity"],
-                ratio_sorted=arrays["ratio_sorted"],
                 ratio_blocks=arrays["ratio_blocks"],
                 block_size=block_size,
             )
@@ -599,10 +613,8 @@ class EvaluationCache:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
             arrays = {
                 "frontier_rows": index.frontier_rows,
-                "capacity_order": evaluation.capacity_order(),
-                "capacity_sorted": index._capacity_sorted,
+                "capacity_order": index._capacity_order,
                 "ratio_by_capacity": index._ratio_by_capacity,
-                "ratio_sorted": index._ratio_sorted,
                 "ratio_blocks": index._ratio_blocks,
             }
             for which in _INDEX_ARRAYS:
@@ -626,7 +638,10 @@ class EvaluationCache:
             return key
 
     def index_snapshots(self) -> list[IndexSnapshotEntry]:
-        """All readable index snapshots currently on disk."""
+        """All readable index snapshots currently on disk.
+
+        ``bytes_on_disk`` counts every file of the snapshot, including
+        arrays that only older layouts wrote."""
         found: list[IndexSnapshotEntry] = []
         if not self.cache_dir.is_dir():
             return found
@@ -635,11 +650,12 @@ class EvaluationCache:
                 meta = json.loads(meta_path.read_text(encoding="utf-8"))
                 key = meta["key"]
                 block_size = int(meta["block_size"])
-                size = sum(
-                    self._index_array_path(key, block_size, which)
-                    .stat().st_size
-                    for which in _INDEX_ARRAYS
-                ) + meta_path.stat().st_size
+                for which in _INDEX_ARRAYS:  # incomplete: skipped
+                    self._index_array_path(key, block_size, which).stat()
+                base = self._index_base(key, block_size)
+                size = sum(p.stat().st_size
+                           for p in self.cache_dir.glob(f"{base}.*")
+                           if p.is_file())
                 found.append(IndexSnapshotEntry(
                     key=key,
                     block_size=block_size,

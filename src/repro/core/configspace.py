@@ -275,10 +275,18 @@ class SpaceEvaluation:
         return self.__dict__.get("_frontier_candidates")
 
     def capacity_order(self) -> np.ndarray:
-        """Stable argsort of ``capacity_gips`` (cached)."""
+        """Stable argsort of ``capacity_gips`` (cached).
+
+        With pairwise distinct keys every correct sort yields the one
+        stable permutation, so the faster unstable default runs unless a
+        cheap value sort finds equal neighbours (ties).
+        """
         cached = self.__dict__.get("_capacity_order")
         if cached is None:
-            cached = np.argsort(self.capacity_gips, kind="stable")
+            ordered = np.sort(self.capacity_gips)
+            ties = bool(np.any(ordered[1:] == ordered[:-1]))
+            cached = np.argsort(self.capacity_gips,
+                                kind="stable" if ties else None)
             object.__setattr__(self, "_capacity_order", cached)
         return cached
 

@@ -36,12 +36,14 @@ surviving rows coincide row-for-row.
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.configspace import DEFAULT_CHUNK, ConfigurationSpace, SpaceEvaluation
+from repro.core.sweepkernel import frontier_candidates_from_values, local_frontier
 from repro.errors import ValidationError
 from repro.pareto.frontier import pareto_mask_2d
 from repro.units import SECONDS_PER_HOUR
@@ -57,6 +59,18 @@ __all__ = [
 #: Rows per block of the feasibility-count structure (√S-ish for the
 #: paper's space; a single block for small spaces).
 DEFAULT_FEASIBILITY_BLOCK = 4096
+
+#: Bit pattern of +inf: every non-negative double's pattern lies in
+#: ``[0, _INF_BITS]`` and orders the same way as its value.
+_INF_BITS = 0x7FF0000000000000
+
+
+def _double_from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _bits_from_double(value: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", value))[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,13 +196,15 @@ class FrontierIndex:
       feasible point is itself feasible (both objectives only improve).
       When the evaluation came from a fused sweep its harvested
       candidates are merged directly (a few hundred rows); otherwise one
-      witness-filtered pass over the value arrays recovers them.
-    * a capacity-sorted order whose ratio values are additionally sorted
-      inside fixed-size blocks — ``feasible_count`` then needs one binary
-      search for the capacity cutoff, one for the ratio cutoff, and one
+      prefiltered pass over the value arrays recovers them.
+    * the feasibility structure: the capacity order, the ratios in that
+      order, and the same ratios sorted inside fixed-size blocks —
+      ``feasible_count`` then needs one binary search for the capacity
+      cutoff, one data-free bisection for the ratio cutoff, and one
       ``searchsorted`` per block instead of an O(S) chunk loop.  Built
-      lazily on first use (three S-length sorts), or rehydrated from a
-      persisted snapshot via :meth:`from_arrays` without any sort.
+      lazily on first use (one S-length argsort plus the per-block
+      sorts), or rehydrated from a persisted snapshot via
+      :meth:`from_arrays` without any sort.
     """
 
     def __init__(self, evaluation: SpaceEvaluation,
@@ -204,8 +220,8 @@ class FrontierIndex:
 
         # Demand-invariant frontier: chunked local Pareto + exact merge,
         # the same idiom the streamed path uses per query.  A fused sweep
-        # hands its harvested candidates in; otherwise one witness-
-        # filtered pass over the value arrays recovers them.  Either way
+        # hands its harvested candidates in; otherwise one prefiltered
+        # pass over the value arrays recovers them.  Either way
         # the final merge yields the identical frontier (the Pareto set
         # of any candidate superset of the frontier is the frontier).
         from repro.obs.trace import get_tracer
@@ -214,9 +230,6 @@ class FrontierIndex:
         with get_tracer().span("frontier.build",
                                {"fused": fused}) as span:
             if candidates is None:
-                from repro.core.sweepkernel import \
-                    frontier_candidates_from_values
-
                 candidates = frontier_candidates_from_values(
                     capacity, unit_cost, chunk_size=chunk_size)
             rows = np.asarray(candidates, dtype=np.int64)
@@ -229,21 +242,19 @@ class FrontierIndex:
             span.set_attribute("candidates", int(rows.size))
             span.set_attribute("frontier", int(self.frontier_rows.size))
 
-        # The feasibility-count structure (three S-length sorts) is built
-        # lazily on the first ``feasible_count`` — frontier-only
-        # consumers and snapshot stores that load it from disk never pay
-        # the sorts.
-        self._capacity_sorted: np.ndarray | None = None
+        # The feasibility-count structure (one S-length argsort plus the
+        # per-block sorts) is built lazily on the first
+        # ``feasible_count`` — frontier-only consumers and snapshot
+        # stores that load it from disk never pay the sorts.
+        self._capacity_order: np.ndarray | None = None
         self._ratio_by_capacity: np.ndarray | None = None
-        self._ratio_sorted: np.ndarray | None = None
         self._ratio_blocks: np.ndarray | None = None
 
     @classmethod
     def from_arrays(cls, evaluation: SpaceEvaluation, *,
                     frontier_rows: np.ndarray,
-                    capacity_sorted: np.ndarray,
+                    capacity_order: np.ndarray,
                     ratio_by_capacity: np.ndarray,
-                    ratio_sorted: np.ndarray,
                     ratio_blocks: np.ndarray,
                     block_size: int) -> "FrontierIndex":
         """Rehydrate an index from persisted (typically mmap'd) arrays.
@@ -264,9 +275,8 @@ class FrontierIndex:
         index._frontier_ratio = \
             evaluation.unit_cost_per_hour[index.frontier_rows] \
             / index._frontier_capacity
-        index._capacity_sorted = capacity_sorted
+        index._capacity_order = capacity_order
         index._ratio_by_capacity = ratio_by_capacity
-        index._ratio_sorted = ratio_sorted
         index._ratio_blocks = ratio_blocks
         return index
 
@@ -275,17 +285,15 @@ class FrontierIndex:
 
         Idempotent; called automatically by :meth:`feasible_count` and
         eagerly by snapshot stores (the sorts must exist to persist).
+        Keeps three arrays: the evaluation's capacity order, the ratios
+        in that order, and those ratios sorted within each block.
         """
-        if self._capacity_sorted is not None:
+        if self._capacity_order is not None:
             return
         evaluation = self.evaluation
-        capacity = evaluation.capacity_gips
-        ratio = evaluation.cost_ratio()
-        total = capacity.size
+        total = evaluation.space.size
         order = evaluation.capacity_order()
-        capacity_sorted = capacity[order]
-        ratio_by_capacity = ratio[order]
-        ratio_sorted = np.sort(ratio, kind="stable")
+        ratio_by_capacity = evaluation.cost_ratio()[order]
         block_size = self._block_size
         n_blocks = -(-total // block_size)
         padded = np.full(n_blocks * block_size, np.inf)
@@ -293,14 +301,13 @@ class FrontierIndex:
         ratio_blocks = padded.reshape(n_blocks, block_size)
         ratio_blocks.sort(axis=1)
         self._ratio_by_capacity = ratio_by_capacity
-        self._ratio_sorted = ratio_sorted
         self._ratio_blocks = ratio_blocks
         # Published LAST: concurrent callers (the service computes
         # batches on executor threads) gate on this attribute, so every
         # other array must be visible before it is.  A racing duplicate
         # build is benign — the inputs are deterministic, so both builds
         # produce identical arrays.
-        self._capacity_sorted = capacity_sorted
+        self._capacity_order = order
 
     @property
     def block_size(self) -> int:
@@ -322,32 +329,49 @@ class FrontierIndex:
         from this position; the binary search evaluates the *same*
         floating-point predicate the streamed path applies elementwise.
         """
-        cs = self._capacity_sorted
-        lo, hi = 0, cs.size
+        capacity = self.evaluation.capacity_gips
+        order = self._capacity_order
+        lo, hi = 0, order.size
         while lo < hi:
             mid = (lo + hi) // 2
-            if demand_gi / cs[mid] / SECONDS_PER_HOUR < deadline_hours:
+            if demand_gi / capacity.item(order.item(mid)) / SECONDS_PER_HOUR \
+                    < deadline_hours:
                 hi = mid
             else:
                 lo = mid + 1
         return lo
 
-    def _ratio_cutoff(self, demand_gi: float, budget_dollars: float) -> float:
-        """Smallest ratio value whose predicted cost reaches ``C'``.
+    @staticmethod
+    def _ratio_cutoff(demand_gi: float, budget_dollars: float) -> float:
+        """Smallest non-negative double whose predicted cost reaches ``C'``.
 
         ``fl(fl(D·r)/3600)`` is monotone non-decreasing in ``r``, so a row
         is cost-feasible iff its ratio is strictly below the returned
-        value (``inf`` when every row is feasible).
+        value.  Non-negative doubles order like their bit patterns, so
+        the cutoff is a bisection over patterns in ``[0, +inf]`` (no data
+        touched); the predicate fails at ``+inf``.  The real-valued
+        threshold ``C'·3600/D`` lands a few ulps from the cutoff, so a
+        bracket around it usually leaves four steps instead of 64.
         """
-        rs = self._ratio_sorted
-        lo, hi = 0, rs.size
+        def feasible(bits: int) -> bool:
+            return demand_gi * _double_from_bits(bits) / SECONDS_PER_HOUR \
+                < budget_dollars
+
+        lo, hi = 0, _INF_BITS
+        guess = _bits_from_double(budget_dollars * SECONDS_PER_HOUR
+                                  / demand_gi)
+        below, above = max(guess - 8, lo), min(guess + 8, hi)
+        if feasible(below):
+            lo = below + 1
+        if not feasible(above):
+            hi = above
         while lo < hi:
             mid = (lo + hi) // 2
-            if demand_gi * rs[mid] / SECONDS_PER_HOUR < budget_dollars:
+            if feasible(mid):
                 lo = mid + 1
             else:
                 hi = mid
-        return float(rs[lo]) if lo < rs.size else np.inf
+        return _double_from_bits(lo)
 
     def feasible_count(self, demand_gi: float, deadline_hours: float,
                        budget_dollars: float) -> int:
@@ -360,7 +384,7 @@ class FrontierIndex:
         _validate_query(demand_gi, deadline_hours, budget_dollars)
         self.ensure_feasibility()
         p = self._capacity_cutoff(demand_gi, deadline_hours)
-        total = self._capacity_sorted.size
+        total = self._capacity_order.size
         if p >= total:
             return 0
         r_cut = self._ratio_cutoff(demand_gi, budget_dollars)
@@ -568,8 +592,9 @@ def select_configurations(
         feasible_count += n_feasible
         if n_feasible == 0:
             continue
-        local = pareto_mask_2d(-capacity[mask], ratio[mask])
-        cand_index.append(np.flatnonzero(mask)[local] + start)
+        rows = np.flatnonzero(mask)
+        local = local_frontier(capacity[rows], ratio[rows])
+        cand_index.append(rows[local] + start)
 
     pareto_points: list[ParetoPoint] = []
     if cand_index:

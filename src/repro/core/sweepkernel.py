@@ -16,25 +16,32 @@ each chunk's local Pareto candidates over ``(−capacity, cost_ratio)``
 — the demand-invariant objective pair of
 :class:`repro.core.selection.FrontierIndex` — cheaply enough to run
 inside the sweep.  A full per-chunk nondomination scan would cost a
-2M-element ``lexsort`` per chunk; instead a *witness filter* prunes the
-chunk first:
+2M-element ``lexsort`` per chunk; instead :func:`local_frontier` prunes
+the chunk first with an exact *capacity-binned prefilter*:
 
-1. split the chunk into tiles and take each tile's minimum-ratio point
-   as a witness;
-2. sort the witnesses by capacity and suffix-minimize their ratios;
-3. a point is discarded iff some witness has strictly greater capacity
-   AND strictly smaller ratio — such a witness strictly dominates the
-   point, so discarding is always safe;
-4. the exact ``pareto_mask_2d`` then runs on the few survivors.
+1. bin every row by capacity, ``b = floor((U − Umin)·k)`` with the
+   positive constant ``k = (B−1)/(Umax − Umin)``, clamped to ``B−1``
+   (one bin when ``Umax == Umin``);
+2. take each bin's minimum ratio (``np.minimum.at``), then the suffix
+   minimum over the *strictly higher* bins;
+3. a row survives iff that suffix minimum is ``>=`` its own ratio;
+4. the exact ``pareto_mask_2d`` then runs on the ~100 survivors.
 
-Survivors are a superset of the chunk's true local frontier, and the
-Pareto set of any superset-of-the-frontier subset of the chunk equals
-the chunk's frontier exactly (every strict-dominator chain ends at a
-nondominated point, which is itself a survivor), so the candidate rows
-are *identical* to a full per-chunk scan — only ~10× cheaper.  For the
-same reason the final merge over all candidates is bit-identical to the
-two-pass full-space scan regardless of chunk grid, span partitioning,
-duplicated spans or resume granularity.
+IEEE subtraction, multiplication by a positive constant, ``floor`` and
+the clamp are all monotone non-decreasing, so a strictly higher bin
+always holds a strictly greater capacity.  A dropped row
+therefore has a row in its own chunk with strictly greater capacity AND
+strictly smaller ratio — a strict dominator — so it was never on the
+chunk's frontier.  Survivors are a superset of that frontier, and the
+Pareto set of any superset-of-the-frontier subset equals the frontier
+exactly (every strict-dominator chain ends at a nondominated point,
+which is itself a survivor), so the candidate rows are *identical* to a
+full per-chunk scan.  For the same reason the final merge over all
+candidates is bit-identical to the two-pass full-space scan regardless
+of chunk grid, span partitioning, duplicated spans or resume
+granularity.  The streamed Algorithm-1 scan in
+:mod:`repro.core.selection` runs the same :func:`local_frontier` on each
+chunk's feasible rows.
 """
 
 from __future__ import annotations
@@ -44,18 +51,16 @@ import numpy as np
 from repro.pareto.frontier import pareto_mask_2d
 
 __all__ = [
-    "DEFAULT_WITNESS_TILE",
     "KERNEL_TILE",
     "ChunkKernel",
     "chunk_frontier_candidates",
     "frontier_candidates_from_values",
+    "local_frontier",
 ]
 
-#: Tile width of the witness filter (2048 witnesses per 2M-row chunk).
-#: Smaller tiles mean more witnesses and a stronger filter; the knee is
-#: around 1k rows — below it the per-tile overhead starts to dominate,
-#: above it too many points survive to the exact Pareto pass.
-DEFAULT_WITNESS_TILE = 1 << 10
+#: Capacity bins of the prefilter.  More bins mean fewer survivors for
+#: the exact Pareto pass; the per-bin reductions stay negligible.
+_PREFILTER_BINS = 1 << 12
 
 #: Rows per internal decode/reduce tile.  A full 2M-row chunk drags
 #: ~300 MB of work buffers through memory; tiling keeps the decode's
@@ -125,9 +130,7 @@ class ChunkKernel:
         np.matmul(fwork, self.prices, out=unit_cost_out)
 
     def frontier_candidates(self, start: int, capacity: np.ndarray,
-                            unit_cost: np.ndarray,
-                            *, tile: int = DEFAULT_WITNESS_TILE
-                            ) -> np.ndarray:
+                            unit_cost: np.ndarray) -> np.ndarray:
         """Local Pareto candidate rows of one just-evaluated chunk.
 
         ``start`` is the chunk's first linear index; the returned rows
@@ -136,63 +139,53 @@ class ChunkKernel:
         k = capacity.size
         ratio = self._ratio[:k]
         np.divide(unit_cost, capacity, out=ratio)
-        return _chunk_candidates(capacity, ratio, start - 1, tile)
+        return local_frontier(capacity, ratio) + (start - 1)
 
 
-def _chunk_candidates(capacity: np.ndarray, ratio: np.ndarray,
-                      base_row: int, tile: int) -> np.ndarray:
-    """Witness-filtered exact local Pareto rows (ascending, global)."""
+def local_frontier(capacity: np.ndarray, ratio: np.ndarray) -> np.ndarray:
+    """Ascending positions of the nondominated rows over ``(−capacity, ratio)``.
+
+    Exactly the rows ``pareto_mask_2d(-capacity, ratio)`` marks, found
+    through the capacity-binned prefilter described in the module
+    docstring: only rows without a strict dominator in a strictly
+    higher capacity bin reach the exact scan.
+    """
     k = capacity.size
     if k == 0:
         return np.empty(0, dtype=np.int64)
-    if k > tile:
-        n_tiles = -(-k // tile)
-        pad = n_tiles * tile - k
-        if pad:
-            # Sentinels: an inf ratio is never a witness; a -inf capacity
-            # padding row cannot dominate anything real.
-            rpad = np.concatenate([ratio, np.full(pad, np.inf)])
-            cpad = np.concatenate([capacity, np.full(pad, -np.inf)])
-        else:
-            rpad, cpad = ratio, capacity
-        arg = rpad.reshape(n_tiles, tile).argmin(axis=1)
-        wit_rows = np.arange(n_tiles, dtype=np.int64) * tile + arg
-        order = np.argsort(cpad[wit_rows], kind="stable")
-        wit_rows = wit_rows[order]
-        wit_capacity = cpad[wit_rows]
-        # Minimum witness ratio over witnesses at position > p, i.e. with
-        # capacity >= wit_capacity[p]; searchsorted side="right" makes the
-        # capacity comparison strict for the queried point.
-        suffix_min = np.minimum.accumulate(rpad[wit_rows][::-1])[::-1]
-        lookup = np.append(suffix_min, np.inf)
-        pos = np.searchsorted(wit_capacity, capacity, side="right")
-        survivors = np.flatnonzero(lookup[pos] >= ratio)
-        local = pareto_mask_2d(-capacity[survivors], ratio[survivors])
-        return survivors[local] + base_row
-    local = pareto_mask_2d(-capacity, np.asarray(ratio))
-    return np.flatnonzero(local) + base_row
+    lo = capacity.min()
+    span = capacity.max() - lo
+    if span > 0:
+        scaled = capacity - lo
+        scaled *= (_PREFILTER_BINS - 1) / span
+        np.minimum(scaled, _PREFILTER_BINS - 1, out=scaled)
+        bins = scaled.astype(np.intp)  # non-negative: truncation is floor
+    else:
+        bins = np.zeros(k, dtype=np.intp)
+    bin_min = np.full(_PREFILTER_BINS + 1, np.inf)
+    np.minimum.at(bin_min, bins, ratio)
+    # higher[b] = min ratio over bins strictly above b (inf for the top).
+    higher = np.minimum.accumulate(bin_min[::-1])[::-1][1:]
+    survivors = np.flatnonzero(higher[bins] >= ratio)
+    local = pareto_mask_2d(-capacity[survivors], ratio[survivors])
+    return survivors[local]
 
 
 def chunk_frontier_candidates(capacity: np.ndarray, unit_cost: np.ndarray,
-                              base_row: int,
-                              *, tile: int = DEFAULT_WITNESS_TILE
-                              ) -> np.ndarray:
+                              base_row: int) -> np.ndarray:
     """Buffer-free variant of :meth:`ChunkKernel.frontier_candidates`.
 
     Used where no kernel is alive: recomputing candidates for resumed
     checkpoint spans and the cold (no-candidates) ``FrontierIndex``
     scan.  ``base_row`` is the global 0-based row of ``capacity[0]``.
     """
-    ratio = unit_cost / capacity
-    return _chunk_candidates(capacity, ratio, base_row, tile)
+    return local_frontier(capacity, unit_cost / capacity) + base_row
 
 
 def frontier_candidates_from_values(capacity: np.ndarray,
                                     unit_cost: np.ndarray,
                                     base_row: int = 0,
-                                    *, chunk_size: int,
-                                    tile: int = DEFAULT_WITNESS_TILE
-                                    ) -> np.ndarray:
+                                    *, chunk_size: int) -> np.ndarray:
     """Candidate rows of a whole value range, chunk by chunk.
 
     The chunk grid does not affect the final merged frontier (see the
@@ -204,7 +197,7 @@ def frontier_candidates_from_values(capacity: np.ndarray,
     parts = [
         chunk_frontier_candidates(capacity[s:min(s + chunk_size, total)],
                                   unit_cost[s:min(s + chunk_size, total)],
-                                  base_row + s, tile=tile)
+                                  base_row + s)
         for s in range(0, total, chunk_size)
     ]
     if not parts:

@@ -315,7 +315,7 @@ class TestIndexSnapshots:
         warm_eval = cache.load(space, small_capacities)
         loaded = cache.load_index(warm_eval, small_capacities)
         assert loaded is not None
-        assert isinstance(loaded._capacity_sorted, np.memmap)
+        assert isinstance(loaded._ratio_blocks, np.memmap)
         assert loaded.frontier_rows.tobytes() == \
             index.frontier_rows.tobytes()
         assert loaded._frontier_capacity.tobytes() == \
@@ -348,7 +348,7 @@ class TestIndexSnapshots:
         _, evaluation = evaluated
         cache = EvaluationCache(tmp_path)
         cache.store_index(self.build_index(evaluation), small_capacities)
-        arrays = sorted(tmp_path.glob("*.index-b*.capacity_sorted.npy"))
+        arrays = sorted(tmp_path.glob("*.index-b*.ratio_blocks.npy"))
         metas = sorted(tmp_path.glob("*.index-b*.meta.json"))
         assert arrays and metas
         if damage == "truncate":
@@ -377,6 +377,112 @@ class TestIndexSnapshots:
         assert cache.clear() == 1
         assert cache.index_snapshots() == []
         assert cache.load_index(evaluation, small_capacities) is None
+
+    def write_retired_arrays(self, index, tmp_path):
+        """Add the two arrays older snapshots also stored."""
+        evaluation = index.evaluation
+        (order,) = tmp_path.glob("*.index-b*.capacity_order.npy")
+        base = order.name[:-len("capacity_order.npy")]
+        retired = {
+            "capacity_sorted":
+                evaluation.capacity_gips[evaluation.capacity_order()],
+            "ratio_sorted": np.sort(evaluation.cost_ratio(), kind="stable"),
+        }
+        for which, array in retired.items():
+            np.save(tmp_path / f"{base}{which}.npy", array)
+        return [tmp_path / f"{base}{which}.npy" for which in retired]
+
+    def test_old_six_array_layout_loads_identically(
+            self, evaluated, small_capacities, tmp_path):
+        _, evaluation = evaluated
+        cache = EvaluationCache(tmp_path)
+        index = self.build_index(evaluation)
+        cache.store_index(index, small_capacities)
+        self.write_retired_arrays(index, tmp_path)
+        loaded = cache.load_index(evaluation, small_capacities)
+        assert loaded is not None
+        for demand in (1e3, 5e4, 2e6):
+            for deadline, budget in ((24.0, 350.0), (2.0, 3.0), (0.5, 1.0)):
+                assert loaded.select(demand, deadline, budget) == \
+                    index.select(demand, deadline, budget)
+
+    def test_info_counts_and_clear_removes_retired_arrays(
+            self, evaluated, small_capacities, tmp_path):
+        _, evaluation = evaluated
+        cache = EvaluationCache(tmp_path)
+        index = self.build_index(evaluation)
+        cache.store_index(index, small_capacities)
+        retired = self.write_retired_arrays(index, tmp_path)
+        (snap,) = cache.index_snapshots()
+        on_disk = sum(p.stat().st_size for p in tmp_path.glob("*.index-b*"))
+        assert snap.bytes_on_disk == on_disk
+        assert all(p.exists() for p in retired)
+        cache.clear()
+        assert not any(p.exists() for p in retired)
+        assert not list(tmp_path.glob("*.index-b*"))
+
+    def test_threaded_loads_of_distinct_snapshots(self, small_catalog,
+                                                  tmp_path):
+        """Eight threads loading eight snapshots at once: no errors from
+        the ``.npy`` header parser, and every load answers like its
+        source index.
+
+        The parser's race needs a thread switch inside
+        ``ast.literal_eval``; frequent switches plus garbage collections
+        that run finalizers make one likely, as they are under load.
+        """
+        import gc
+        import threading
+
+        class Finalized:
+            def __del__(self):
+                sum(range(50))
+
+        space = ConfigurationSpace(small_catalog)
+        cache = EvaluationCache(tmp_path)
+        sources = []
+        for k in range(8):
+            capacities = np.array([2.0, 4.2, 1.5]) * (1.0 + 0.125 * k)
+            evaluation = space.evaluate(capacities)
+            cache.store(evaluation, capacities)
+            index = self.build_index(evaluation)
+            cache.store_index(index, capacities)
+            sources.append((capacities, index.select(4e4, 3.0, 2.0)))
+        errors, mismatches = [], []
+        barrier = threading.Barrier(len(sources))
+
+        def load_repeatedly(capacities, expected):
+            evaluation = cache.load(space, capacities)
+            barrier.wait()
+            try:
+                for _ in range(50):
+                    for _ in range(6):
+                        cycle = Finalized()
+                        cycle.self = cycle
+                        del cycle
+                    loaded = cache.load_index(evaluation, capacities)
+                    if loaded is None or \
+                            loaded.select(4e4, 3.0, 2.0) != expected:
+                        mismatches.append(capacities[0])
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(repr(exc))
+
+        threads = [threading.Thread(target=load_repeatedly, args=source)
+                   for source in sources]
+        interval, thresholds = sys.getswitchinterval(), gc.get_threshold()
+        sys.setswitchinterval(1e-6)
+        gc.set_threshold(20, 10, 10)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            gc.set_threshold(*thresholds)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert mismatches == []
 
     def test_store_is_idempotent(self, evaluated, small_capacities,
                                  tmp_path):

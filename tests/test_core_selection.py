@@ -408,3 +408,103 @@ class TestEpsilonSelection:
                                      epsilons=(1e-9, 1e-9))
         assert {p.configuration for p in fine.pareto} == \
             {p.configuration for p in exact.pareto}
+
+
+def _cutoff_space_evaluation():
+    """A 4-type quota-3 space (255 rows) with irregular capacities."""
+    rows = [("p", 2, 2.0, 0.13), ("q", 4, 2.0, 0.29), ("r", 2, 2.5, 0.17),
+            ("s", 8, 2.5, 0.61)]
+    space = ConfigurationSpace(make_catalog(rows, quota=3))
+    return space.evaluate(np.array([1.7, 3.9, 2.3, 6.1]))
+
+
+_CUTOFF_EVALUATION = _cutoff_space_evaluation()
+
+
+def _stepped(value: float, step: int) -> float:
+    """``value`` moved ``step`` ulps (-1, 0 or +1) with ``math.nextafter``."""
+    import math
+
+    if step == 0:
+        return value
+    return math.nextafter(value, math.inf if step > 0 else -math.inf)
+
+
+class TestFeasibilityCutoffs:
+    """The capacity and ratio cutoffs behind ``feasible_count`` are exact
+    at the boundary: thresholds placed on a row's own predicted time or
+    cost, and one ulp either side, count exactly what the streamed scan
+    counts."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        row=st.integers(0, _CUTOFF_EVALUATION.space.size - 1),
+        demand=st.floats(1e2, 1e8),
+        bound=st.sampled_from(["budget", "deadline", "both"]),
+        budget_step=st.sampled_from([-1, 0, 1]),
+        deadline_step=st.sampled_from([-1, 0, 1]),
+    )
+    def test_boundary_thresholds_match_streamed(self, row, demand, bound,
+                                                budget_step, deadline_step):
+        from repro.core.selection import FrontierIndex
+
+        evaluation = _CUTOFF_EVALUATION
+        capacity = float(evaluation.capacity_gips[row])
+        ratio = float(evaluation.cost_ratio()[row])
+        budget = deadline = 1e12
+        if bound in ("budget", "both"):
+            budget = _stepped(demand * ratio / 3600.0, budget_step)
+        if bound in ("deadline", "both"):
+            deadline = _stepped(demand / capacity / 3600.0, deadline_step)
+        streamed = select_configurations(evaluation, demand, deadline,
+                                         budget, method="streamed",
+                                         chunk_size=17)
+        for block in (1, 5, 4096):
+            index = FrontierIndex(evaluation, block_size=block)
+            assert index.feasible_count(demand, deadline, budget) == \
+                streamed.feasible_count
+
+    @pytest.mark.parametrize("demand, budget, expected", [
+        # Even the largest finite ratio costs less than $1: the cutoff is
+        # +inf and every row counts.
+        (5e-324, 1.0, "all"),
+        # C'·3600/D overflows; the cutoff is finite, far above every row.
+        (5e-324, 1e-300, "all"),
+        # C'·3600/D underflows to zero; no row is affordable.
+        (1e300, 5e-324, "none"),
+    ])
+    def test_extreme_thresholds_match_streamed(self, demand, budget,
+                                               expected):
+        evaluation = _CUTOFF_EVALUATION
+        streamed = select_configurations(evaluation, demand, 1e300, budget,
+                                         method="streamed")
+        assert streamed.feasible_count == \
+            (evaluation.space.size if expected == "all" else 0)
+        assert evaluation.frontier_index().feasible_count(
+            demand, 1e300, budget) == streamed.feasible_count
+
+
+class TestCapacityOrder:
+    """``capacity_order`` sorts unstably and falls back to a stable sort
+    on ties; either way it equals the stable argsort."""
+
+    def check(self, capacities, catalog, expect_ties):
+        evaluation = ConfigurationSpace(catalog).evaluate(capacities)
+        stable = np.argsort(evaluation.capacity_gips, kind="stable")
+        ordered = evaluation.capacity_gips[stable]
+        assert bool(np.any(ordered[1:] == ordered[:-1])) == expect_ties
+        assert np.array_equal(evaluation.capacity_order(), stable)
+
+    def test_tied_linspace_space_takes_the_stable_path(self):
+        from repro.cloud.catalog import ec2_catalog
+
+        self.check(np.linspace(2.0, 8.0, 9), ec2_catalog(max_nodes_per_type=3),
+                   expect_ties=True)
+
+    def test_paper_space_has_no_ties(self):
+        from repro import Celia, application_by_name, ec2_catalog
+
+        catalog = ec2_catalog(max_nodes_per_type=3)
+        celia = Celia(catalog, cache_dir=False)
+        capacities = celia.capacities(application_by_name("galaxy"))
+        self.check(capacities, catalog, expect_ties=False)

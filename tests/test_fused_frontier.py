@@ -2,8 +2,8 @@
 
 The contract under test is *bit-identity*: the fused kernel must write
 the same bytes the straightforward decode-then-matmul sweep writes, the
-witness-filtered per-chunk candidates must equal an exact per-chunk
-Pareto scan, and the frontier merged from candidates must match the
+prefiltered per-chunk candidates must equal an exact per-chunk Pareto
+scan, and the frontier merged from candidates must match the
 cold full-scan :class:`FrontierIndex` no matter how the sweep was
 chunked, parallelised, fault-injected or resumed.
 """
@@ -24,6 +24,7 @@ from repro.core.sweepkernel import (
 )
 from repro.parallel import FaultPlan, SupervisorConfig, evaluate_resilient
 from repro.parallel.supervisor import SweepInterrupted
+from repro.pareto.frontier import pareto_mask_2d
 
 ROWS = [("a.small", 2, 2.0, 0.10), ("a.big", 4, 2.0, 0.21),
         ("b.small", 2, 2.5, 0.16)]
@@ -100,27 +101,88 @@ class TestChunkKernel:
                         max_chunk=0)
 
 
+def pareto_scan_candidates(capacity, unit_cost, base_row):
+    """Exact local Pareto rows by one unfiltered ``pareto_mask_2d`` scan."""
+    ratio = unit_cost / capacity
+    return np.flatnonzero(pareto_mask_2d(-capacity, ratio)) + base_row
+
+
+def _chunk(kind, rng):
+    """One (capacity, unit_cost) test chunk of the named shape."""
+    if kind == "random":
+        return rng.uniform(1.0, 50.0, 500), rng.uniform(0.1, 5.0, 500)
+    if kind == "heavily_tied":
+        capacity = rng.choice([2.0, 4.0, 8.0, 16.0], size=3000)
+        return capacity, capacity * rng.choice([0.25, 0.5, 1.0], size=3000)
+    if kind == "equal_ratio":
+        capacity = rng.choice([1.0, 2.0, 4.0, 8.0, 32.0], size=400)
+        return capacity, capacity * 0.5
+    if kind == "constant_capacity":
+        return np.full(300, 6.0), rng.choice([1.0, 2.0, 3.0], size=300)
+    if kind == "k1":
+        return np.array([3.0]), np.array([1.5])
+    if kind == "k2":
+        return np.array([3.0, 5.0]), np.array([1.5, 1.0])
+    raise AssertionError(kind)
+
+
 class TestWitnessFilterExactness:
-    @pytest.mark.parametrize("tile", [1, 2, 7, 64, 10_000])
-    def test_matches_brute_force(self, tile):
+    """The capacity-binned prefilter: each bin's minimum-ratio row is a
+    witness, and a row is dropped only when a witness in a strictly
+    higher bin strictly dominates it."""
+
+    @pytest.mark.parametrize("bins", [1, 2, 7, 64, 10_000])
+    def test_matches_brute_force(self, bins, monkeypatch):
+        """Exact for any bin count, including one bin (no pruning)."""
+        monkeypatch.setattr(sweepkernel, "_PREFILTER_BINS", bins)
         rng = np.random.default_rng(7)
         capacity = rng.uniform(1.0, 50.0, size=500)
         unit_cost = rng.uniform(0.1, 5.0, size=500)
-        got = chunk_frontier_candidates(capacity, unit_cost, 123, tile=tile)
+        got = chunk_frontier_candidates(capacity, unit_cost, 123)
         expected = brute_candidates(capacity, unit_cost, 123)
         assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("bins", [1, 3, 4096])
+    @pytest.mark.parametrize("kind", ["random", "heavily_tied",
+                                      "equal_ratio", "constant_capacity",
+                                      "k1", "k2"])
+    def test_matches_unfiltered_pareto_scan(self, kind, bins, monkeypatch):
+        monkeypatch.setattr(sweepkernel, "_PREFILTER_BINS", bins)
+        capacity, unit_cost = _chunk(kind, np.random.default_rng(11))
+        got = chunk_frontier_candidates(capacity, unit_cost, 40)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, pareto_scan_candidates(capacity,
+                                                          unit_cost, 40))
+        assert np.array_equal(got, brute_candidates(capacity, unit_cost, 40))
+
+    def test_prefilter_prunes_before_the_exact_scan(self, monkeypatch):
+        """Only a small superset of the frontier reaches pareto_mask_2d."""
+        seen = []
+
+        def spy(first, second):
+            seen.append(first.size)
+            return pareto_mask_2d(first, second)
+
+        monkeypatch.setattr(sweepkernel, "pareto_mask_2d", spy)
+        rng = np.random.default_rng(3)
+        capacity = rng.uniform(1.0, 50.0, size=200_000)
+        unit_cost = rng.uniform(0.1, 5.0, size=200_000)
+        got = chunk_frontier_candidates(capacity, unit_cost, 0)
+        assert np.array_equal(got, pareto_scan_candidates(capacity,
+                                                          unit_cost, 0))
+        assert seen and seen[0] < 1000
 
     def test_ties_keep_duplicates(self):
         """Equal (capacity, ratio) points are mutually nondominating; the
         filter must keep all of them, exactly like the full scan."""
         capacity = np.array([4.0, 4.0, 4.0, 2.0, 8.0])
         unit_cost = np.array([1.0, 1.0, 1.0, 2.0, 2.0])
-        got = chunk_frontier_candidates(capacity, unit_cost, 0, tile=2)
+        got = chunk_frontier_candidates(capacity, unit_cost, 0)
         expected = brute_candidates(capacity, unit_cost, 0)
         assert np.array_equal(got, expected)
 
     def test_empty_chunk(self):
-        got = chunk_frontier_candidates(np.empty(0), np.empty(0), 0, tile=4)
+        got = chunk_frontier_candidates(np.empty(0), np.empty(0), 0)
         assert got.size == 0 and got.dtype == np.int64
 
     def test_from_values_is_chunk_grid_invariant(self):
