@@ -16,23 +16,19 @@ and latency; a second pass over the same queries measures the LRU result
 cache.  Both sides run with the persistent evaluation cache disabled so
 neither gets artefacts for free.
 
-A third section benchmarks serving **over HTTP at high concurrency**,
-three architectures against the same workload: the legacy
-thread-per-connection server (``serve_threaded.py`` — synchronous
-per-request planning, no caching, no batching), the single-process
-``celia serve`` (one TCP connection per request — the server closes
-after every response), and the sharded ``celia fleet serve``
-(keep-alive connections into the asyncio front end, one framed
-write/read per request on persistent Unix-domain links to the shard
-workers).  All run as real subprocesses.  The workload cycles a
-catalog of ``FLEET_QUERY_CATALOG`` distinct queries over four warm-key
-seeds — planning traffic repeats, and serving repeats well is exactly
-what the service's result cache plus the router's shard affinity buy:
-each query's repeats land on the one worker that already holds its
-cached (and pre-serialized) response, while the legacy server
-recomputes every single request.  On a multi-core host the shards
-additionally parallelize the misses; this machine has one core, so the
-comparison isolates the caching and protocol wins.
+A third section benchmarks serving **over HTTP at high concurrency**:
+the same front end over one in-process shard (``celia serve``, driven
+both with a fresh connection per request — what ``PlannerClient`` and
+the loadgen replayer send — and keep-alive) and over two shard worker
+processes (``celia fleet serve``, keep-alive, one framed write/read per
+request on persistent Unix-domain links), all as real subprocesses.
+The workload cycles a catalog of ``FLEET_QUERY_CATALOG`` distinct queries
+over four warm-key seeds — planning traffic repeats, and serving
+repeats well is exactly what the service's result cache plus the
+router's shard affinity buy: each query's repeats land on the one
+worker that already holds its cached (and pre-serialized) response.
+On a multi-core host the fleet's shards additionally parallelize the
+misses.
 
 Run directly (not via pytest)::
 
@@ -40,12 +36,11 @@ Run directly (not via pytest)::
         [--output PATH]
 
 Results land in ``BENCH_service.json`` at the repository root, including
-two acceptance checks: batched throughput at concurrency 32 must be at
-least 5x the one-process-per-request baseline, and fleet throughput at
-concurrency 256 must be at least 2x the connection-per-request server.
-``--quick`` runs one baseline process, the (1, 8) concurrency levels and
-a 32-way HTTP comparison only, skipping both speedup assertions — the
-CI benchmark-smoke mode.
+one acceptance check: batched throughput at concurrency 32 must be at
+least 5x the one-process-per-request baseline.  ``--quick`` runs one
+baseline process, the (1, 8) concurrency levels and a 32-way HTTP
+comparison only, skipping the speedup assertion — the CI
+benchmark-smoke mode.
 """
 
 from __future__ import annotations
@@ -73,8 +68,8 @@ REQUESTS_PER_WORKER = 8
 N_BASELINE = 3
 SPEEDUP_TARGET = 5.0
 
-#: HTTP comparison: single-process connection-per-request server vs the
-#: sharded keep-alive fleet, same query mix, both as subprocesses.
+#: HTTP comparison: the front end over one in-process shard vs over the
+#: sharded fleet, same query mix, both as subprocesses.
 FLEET_CONCURRENCY = 256
 QUICK_FLEET_CONCURRENCY = 32
 FLEET_REQUESTS_PER_CONN = 32
@@ -85,11 +80,8 @@ FLEET_SEEDS = (0, 1, 4, 5)
 #: Distinct queries in the HTTP workload; clients cycle this catalog,
 #: so at c=256 each query recurs 8x — planning traffic repeats
 #: (dashboards re-poll, tenants re-plan the same campaign), which is
-#: the regime the shard-local result caches exist for.  The legacy
-#: threaded server recomputes every repeat: per-request caching only
-#: arrived with the service layer.
+#: the regime the shard-local result caches exist for.
 FLEET_QUERY_CATALOG = 256
-FLEET_SPEEDUP_TARGET = 2.0
 
 #: Percentile keys copied out of histogram snapshots.
 LATENCY_KEYS = ("count", "min", "max", "p50", "p95", "p99")
@@ -204,7 +196,7 @@ async def bench_service_level(concurrency: int) -> dict:
     }
 
 
-# -- HTTP comparison: single-process server vs sharded fleet ------------------
+# -- HTTP comparison: in-process shard vs sharded fleet -------------------------
 
 
 async def _read_response(reader: asyncio.StreamReader) -> tuple[int, bytes]:
@@ -256,7 +248,7 @@ def _request_frame(index: int) -> bytes:
 
 async def _http_once(host: str, port: int, frame: bytes
                      ) -> tuple[int, bytes]:
-    """One request on a fresh connection (the legacy server's protocol)."""
+    """One request on a fresh connection."""
     reader, writer = await asyncio.open_connection(host, port)
     try:
         writer.write(frame)
@@ -275,9 +267,8 @@ async def _run_http_load(host: str, port: int, *, concurrency: int,
                          ) -> tuple[float, list[float]]:
     """Closed-loop load: ``concurrency`` clients, ``per_conn`` requests each.
 
-    ``keep_alive=True`` holds one connection per client (the fleet front
-    end); ``keep_alive=False`` opens a fresh connection per request (all
-    the single-process server supports — it closes after each response).
+    ``keep_alive=True`` holds one connection per client;
+    ``keep_alive=False`` opens a fresh connection per request.
     """
     latencies: list[float] = []
 
@@ -290,44 +281,43 @@ async def _run_http_load(host: str, port: int, *, concurrency: int,
 
     async def client(client_index: int) -> None:
         indices = range(client_index * per_conn, (client_index + 1) * per_conn)
-        if keep_alive:
-            reader = writer = None
-            try:
-                for i in indices:
-                    frame = _request_frame(i)
-                    t0 = time.perf_counter()
-                    # A server may drop a keep-alive connection under
-                    # load; reconnecting is the client's job and the
-                    # reconnect cost stays in this request's latency.
-                    for attempt in range(5):
-                        try:
-                            if writer is None:
-                                reader, writer = await \
-                                    asyncio.open_connection(host, port)
-                            writer.write(frame)
-                            await writer.drain()
-                            status, _ = await _read_response(reader)
-                            break
-                        except (ConnectionError, OSError,
-                                asyncio.IncompleteReadError):
-                            if writer is not None:
-                                await close_quietly(writer)
-                            reader = writer = None
-                    else:
-                        raise RuntimeError(
-                            f"request {i}: connection dropped 5 times")
-                    latencies.append(time.perf_counter() - t0)
-                    assert status == 200, f"request {i} -> HTTP {status}"
-            finally:
-                if writer is not None:
-                    await close_quietly(writer)
-        else:
+        if not keep_alive:
+            for i in indices:
+                t0 = time.perf_counter()
+                status, _ = await _http_once(host, port, _request_frame(i))
+                latencies.append(time.perf_counter() - t0)
+                assert status == 200, f"request {i} -> HTTP {status}"
+            return
+        reader = writer = None
+        try:
             for i in indices:
                 frame = _request_frame(i)
                 t0 = time.perf_counter()
-                status, _ = await _http_once(host, port, frame)
+                # A server may drop a keep-alive connection under
+                # load; reconnecting is the client's job and the
+                # reconnect cost stays in this request's latency.
+                for attempt in range(5):
+                    try:
+                        if writer is None:
+                            reader, writer = await \
+                                asyncio.open_connection(host, port)
+                        writer.write(frame)
+                        await writer.drain()
+                        status, _ = await _read_response(reader)
+                        break
+                    except (ConnectionError, OSError,
+                            asyncio.IncompleteReadError):
+                        if writer is not None:
+                            await close_quietly(writer)
+                        reader = writer = None
+                else:
+                    raise RuntimeError(
+                        f"request {i}: connection dropped 5 times")
                 latencies.append(time.perf_counter() - t0)
                 assert status == 200, f"request {i} -> HTTP {status}"
+        finally:
+            if writer is not None:
+                await close_quietly(writer)
 
     t0 = time.perf_counter()
     await asyncio.gather(*(client(c) for c in range(concurrency)))
@@ -337,9 +327,9 @@ async def _run_http_load(host: str, port: int, *, concurrency: int,
 def _spawn_server(args: list[str]) -> tuple[subprocess.Popen, int]:
     """Start a server subprocess; return it and its bound port.
 
-    ``args`` follows the Python executable (``["-m", "repro.cli", ...]``
-    or a script path); the subprocess must print a
-    ``... listening on http://host:port ...`` ready line.
+    ``args`` follows the Python executable (``["-m", "repro.cli", ...]``);
+    the subprocess must print a ``... listening on http://host:port ...``
+    ready line.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
@@ -398,53 +388,38 @@ async def _bench_http_target(port: int, *, concurrency: int,
 
 
 def bench_http_comparison(concurrency: int) -> dict:
-    """Threaded server vs asyncio server vs the fleet, same load.
+    """The front end over one in-process shard vs over the fleet.
 
-    Three subprocess targets answer the identical catalog workload
+    Three subprocess runs answer the identical catalog workload
     (``FLEET_QUERY_CATALOG`` distinct queries, cycled):
 
-    * ``threaded`` — thread-per-connection ``serve_threaded.py`` (the
-      legacy architecture: synchronous uncached planning per request;
-      driven keep-alive, its best case);
-    * ``single_http`` — the asyncio ``celia serve`` (connection per
-      request — all it supports, it closes after every response);
-    * ``fleet`` — ``celia fleet serve`` (keep-alive front end, framed
-      links to shard workers holding shard-local result caches).
+    * ``single_http`` — ``celia serve`` (one in-process shard), a fresh
+      connection per request: the traffic ``PlannerClient`` sends;
+    * ``single_http_keepalive`` — ``celia serve`` over keep-alive;
+    * ``fleet`` — ``celia fleet serve`` over keep-alive (shard worker
+      processes behind framed links, each holding a shard-local result
+      cache).
     """
     # Queue depth must admit the full closed-loop concurrency on every
     # side, so the comparison measures serving rather than shedding.
     depth = ["--max-queue", str(4 * max(concurrency, 64))]
-
-    threaded_proc, threaded_port = _spawn_server(
-        [str(REPO_ROOT / "benchmarks" / "serve_threaded.py"),
-         "--quota", str(QUOTA), "--no-cache", "--port", "0",
-         "--warm", APP] + depth)
-    try:
-        threaded = asyncio.run(_bench_http_target(
-            threaded_port, concurrency=concurrency, keep_alive=True,
-            prefix="threaded"))
-    finally:
-        _stop_server(threaded_proc)
-
     common = ["-m", "repro.cli", "--quota", str(QUOTA), "--no-cache"]
-    single_proc, single_port = _spawn_server(
-        common + ["serve", "--port", "0", "--warm", APP] + depth)
-    try:
-        single = asyncio.run(_bench_http_target(
-            single_port, concurrency=concurrency, keep_alive=False,
-            prefix="single_http"))
-    finally:
-        _stop_server(single_proc)
-
-    fleet_proc, fleet_port = _spawn_server(
-        common + ["fleet", "serve", "--workers", str(FLEET_WORKERS),
-                  "--port", "0", "--warm", APP] + depth)
-    try:
-        fleet = asyncio.run(_bench_http_target(
-            fleet_port, concurrency=concurrency, keep_alive=True,
-            prefix="fleet"))
-    finally:
-        _stop_server(fleet_proc)
+    targets = {
+        "single_http": (["serve"], False),
+        "single_http_keepalive": (["serve"], True),
+        "fleet": (["fleet", "serve", "--workers", str(FLEET_WORKERS)], True),
+    }
+    rows = {}
+    for prefix, (command, keep_alive) in targets.items():
+        proc, port = _spawn_server(
+            common + command + ["--port", "0", "--warm", APP] + depth)
+        try:
+            rows[prefix] = asyncio.run(_bench_http_target(
+                port, concurrency=concurrency, keep_alive=keep_alive,
+                prefix=prefix))
+        finally:
+            _stop_server(proc)
+    single, fleet = rows["single_http"], rows["fleet"]
 
     return {
         "concurrency": concurrency,
@@ -452,11 +427,9 @@ def bench_http_comparison(concurrency: int) -> dict:
         "seeds": list(FLEET_SEEDS),
         "distinct_queries": FLEET_QUERY_CATALOG,
         "workers": FLEET_WORKERS,
-        "threaded": threaded,
         "single_http": single,
+        "single_http_keepalive": rows["single_http_keepalive"],
         "fleet": fleet,
-        "fleet_speedup": round(
-            fleet["throughput_rps"] / threaded["throughput_rps"], 2),
         "fleet_vs_async_single": round(
             fleet["throughput_rps"] / single["throughput_rps"], 2),
     }
@@ -493,18 +466,16 @@ def main() -> None:
 
     http_concurrency = (QUICK_FLEET_CONCURRENCY if args.quick
                         else FLEET_CONCURRENCY)
-    print(f"http comparison @ c={http_concurrency}: threaded vs asyncio "
-          f"single vs {FLEET_WORKERS}-worker fleet")
+    print(f"http comparison @ c={http_concurrency}: in-process shard vs "
+          f"{FLEET_WORKERS}-worker fleet")
     comparison = bench_http_comparison(http_concurrency)
-    print(f"  threaded: {comparison['threaded']['throughput_rps']:.0f} "
-          f"req/s, p99 "
-          f"{comparison['threaded']['threaded_p99_s'] * 1e3:.1f} ms")
-    print(f"  single:   {comparison['single_http']['throughput_rps']:.0f} "
-          f"req/s, p99 "
-          f"{comparison['single_http']['single_http_p99_s'] * 1e3:.1f} ms")
+    for prefix in ("single_http", "single_http_keepalive"):
+        row = comparison[prefix]
+        print(f"  {prefix}: {row['throughput_rps']:.0f} req/s, "
+              f"p99 {row[f'{prefix}_p99_s'] * 1e3:.1f} ms")
     print(f"  fleet:    {comparison['fleet']['throughput_rps']:.0f} req/s, "
           f"p99 {comparison['fleet']['fleet_p99_s'] * 1e3:.1f} ms "
-          f"-> {comparison['fleet_speedup']:.2f}x threaded")
+          f"-> {comparison['fleet_vs_async_single']:.2f}x single")
 
     report = {
         "app": APP,
@@ -514,7 +485,6 @@ def main() -> None:
         "service": levels,
         "speedup_target": SPEEDUP_TARGET,
         "fleet_comparison": comparison,
-        "fleet_speedup_target": FLEET_SPEEDUP_TARGET,
     }
     if not args.quick:
         at_32 = next(lv for lv in levels if lv["concurrency"] == 32)
@@ -525,10 +495,6 @@ def main() -> None:
             f"batched service is only {speedup:.1f}x the process-per-request "
             f"baseline; acceptance requires {SPEEDUP_TARGET:g}x")
         report["speedup_at_32"] = round(speedup, 1)
-        assert comparison["fleet_speedup"] >= FLEET_SPEEDUP_TARGET, (
-            f"fleet is only {comparison['fleet_speedup']:.2f}x the "
-            f"threaded server at c={http_concurrency}; "
-            f"acceptance requires {FLEET_SPEEDUP_TARGET:g}x")
     args.output.write_text(json.dumps(report, indent=2) + "\n",
                            encoding="utf-8")
     print(f"wrote {args.output}")

@@ -17,7 +17,8 @@ Subcommands mirror how a practitioner would use the system:
   persist its artefacts; interrupted sweeps leave checkpoint shards that
   ``sweep --resume`` picks up instead of starting over;
 * ``cache`` — inspect or clear the persistent space-evaluation cache;
-* ``serve`` — run the batched JSON-over-HTTP planning service;
+* ``serve`` — run the batched JSON-over-HTTP planning service (the
+  fleet's keep-alive front end over one in-process shard);
 * ``fleet`` — run the sharded multi-process planner fleet (an asyncio
   keep-alive front end consistent-hashing warm keys over N shard
   workers — see ``docs/ops.md``);
@@ -907,7 +908,8 @@ def _cmd_profile(_celia: "Celia | None", args) -> int:
 
 
 def _cmd_serve(celia: Celia, args) -> int:
-    from repro.service import PlannerService, ServiceConfig, run_server
+    from repro.fleet import FleetFrontend, LocalFleet, run_frontend
+    from repro.service import PlannerService, ServiceConfig
 
     config = ServiceConfig(
         max_queue_depth=args.max_queue,
@@ -920,12 +922,15 @@ def _cmd_serve(celia: Celia, args) -> int:
         cache_dir=False if args.no_cache else args.cache_dir,
     )
     service = PlannerService(config=config)
-    run_server(
-        service, host=args.host, port=args.port,
-        warm_apps=tuple(args.warm or ()),
-        ready_callback=lambda server: print(
-            f"celia service listening on http://{server.host}:{server.port} "
-            f"(quota {args.quota}, {len(service.warm_signatures)} warm)",
+    frontend = FleetFrontend(LocalFleet(service), host=args.host,
+                             port=args.port,
+                             expected_warm=tuple(args.warm or ()))
+    run_frontend(
+        frontend,
+        ready_callback=lambda frontend: print(
+            f"celia service listening on http://{frontend.host}:"
+            f"{frontend.port} (quota {args.quota}, "
+            f"{len(service.warm_signatures)} warm)",
             flush=True),
     )
     return 0

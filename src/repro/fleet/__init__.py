@@ -8,6 +8,10 @@ worker processes (:mod:`~repro.fleet.worker`), reached over persistent
 framed Unix-domain links (:mod:`~repro.fleet.rpc`) and supervised —
 spawn, monitor, graceful restart — by :mod:`~repro.fleet.supervisor`.
 
+``celia serve`` is the same front end over one in-process shard
+(:class:`~repro.fleet.supervisor.LocalFleet`): no sockets, no worker
+processes, the same HTTP contract and answer bytes.
+
 Sharding keeps each tenant signature's warm state on exactly one
 worker, bounded by an LRU (``max_warm``) and rebuilt lazily from the
 shared content-addressed snapshot cache, so fleet RAM scales with the
@@ -27,11 +31,17 @@ from repro.fleet.chaos import (
     fleet_chaos_names,
     fleet_chaos_plan,
 )
-from repro.fleet.frontend import FleetFrontend
+from repro.fleet.frontend import FleetFrontend, run_frontend
 from repro.fleet.hashing import DEFAULT_VNODES, HashRing, ring_hash, warm_key
 from repro.fleet.health import FleetTimeline, HealthMonitor, TimelineEvent
 from repro.fleet.rpc import WorkerGone, WorkerLink, encode_frame
-from repro.fleet.supervisor import FleetConfig, PlannerFleet, run_fleet
+from repro.fleet.supervisor import (
+    FleetConfig,
+    LocalFleet,
+    LocalLink,
+    PlannerFleet,
+    run_fleet,
+)
 from repro.fleet.worker import ShardWorker
 
 __all__ = [
@@ -46,6 +56,8 @@ __all__ = [
     "HashRing",
     "HealthMonitor",
     "LinkFaults",
+    "LocalFleet",
+    "LocalLink",
     "PlannerFleet",
     "ShardWorker",
     "TimelineEvent",
@@ -56,5 +68,6 @@ __all__ = [
     "fleet_chaos_plan",
     "ring_hash",
     "run_fleet",
+    "run_frontend",
     "warm_key",
 ]

@@ -1,10 +1,14 @@
-"""Asyncio HTTP front end and shard router for the planner fleet.
+"""The HTTP front end: keep-alive listener and shard router.
 
-This replaces the single-process server's connection-per-request hot
-path: connections are **keep-alive** (HTTP/1.1 pipelining of sequential
-requests over one socket), and each planning request costs one framed
-write/read on a persistent Unix-domain link to the owning shard worker
-(:mod:`repro.fleet.rpc`) instead of a fresh connection and HTTP parse.
+Both ``celia serve`` and ``celia fleet serve`` are this front end; they
+differ only in the routing backend behind it.  ``celia fleet serve``
+routes over N shard worker processes
+(:class:`~repro.fleet.supervisor.PlannerFleet`), one framed write/read
+per request on a persistent Unix-domain link (:mod:`repro.fleet.rpc`).
+``celia serve`` routes over one in-process shard
+(:class:`~repro.fleet.supervisor.LocalFleet`) called directly, with no
+socket hop.  Connections are **keep-alive** (HTTP/1.1 pipelining of
+sequential requests over one socket).
 
 Routing is deterministic: the request's warm key ``(app, quota, seed)``
 hashes onto the consistent ring (:mod:`repro.fleet.hashing`), so every
@@ -17,23 +21,36 @@ envelope if the retry fails too.
 Routes:
 
 * ``POST /v1/select`` / ``/v1/predict`` / ``/v1/plan`` / ``/v1/replan``
-  — routed to the owning shard; answers are byte-identical to
-  ``celia serve`` because both ends share
-  :func:`repro.service.server.dispatch_request`;
-* ``GET  /healthz``     — fleet liveness + per-worker link status;
+  — routed to the owning shard, whose answer bytes are forwarded
+  verbatim; every shard answers through
+  :func:`repro.service.server.dispatch_request`, so the bytes do not
+  depend on the backend;
+* ``GET  /healthz``     — liveness, readiness and per-worker link status;
 * ``GET  /fleet``       — topology: workers, sockets, routing counts;
+* ``GET  /fleet/timeline`` — the resilience audit trail;
 * ``GET  /metrics``     — every worker's snapshot relabeled with
-  ``{worker="..."}`` and merged with the router's own series;
+  ``{worker="..."}`` and merged with the router's own series and the
+  process-global registry;
 * ``GET  /metrics.txt`` — the same, as a flat text exposition;
 * ``POST /fleet/restart`` — gracefully restart one worker
   (``{"worker": "w1"}``) and wait for it to rejoin.
+
+Errors are typed JSON envelopes (``{"error": {"code": ..., "message":
+...}}``): 400 for a malformed request, 404 for an unknown route, 405
+for a known route under the wrong method, 413 for an oversized body,
+503/429 (+ ``Retry-After``) when shedding or draining.
+
+:func:`run_frontend` is the blocking entry point both commands share:
+signals, warm-up, the ready callback and the graceful drain.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import signal
 import socket
+import sys
 import time
 from collections import OrderedDict
 
@@ -47,11 +64,22 @@ from repro.obs.metrics import (
     merge_snapshots,
     render_text,
 )
-from repro.service.server import _MAX_BODY_BYTES, _POST_ROUTES, _REASONS
 
-__all__ = ["FleetFrontend"]
+__all__ = ["FleetFrontend", "run_frontend"]
 
 _MAX_HEAD_BYTES = 1 << 14
+_MAX_BODY_BYTES = 1 << 20
+_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
+            405: "Method Not Allowed", 413: "Payload Too Large",
+            422: "Unprocessable Entity", 429: "Too Many Requests",
+            500: "Internal Server Error", 503: "Service Unavailable",
+            504: "Gateway Timeout"}
+
+_POST_ROUTES = {"/v1/select": "select", "/v1/predict": "predict",
+                "/v1/plan": "plan", "/v1/replan": "replan"}
+_POST_PATHS = frozenset({*_POST_ROUTES, "/fleet/restart"})
+_GET_PATHS = frozenset({"/healthz", "/fleet", "/fleet/timeline",
+                        "/metrics", "/metrics.txt"})
 
 
 def _error_body(code: str, message: str) -> dict:
@@ -61,12 +89,14 @@ def _error_body(code: str, message: str) -> dict:
 class FleetFrontend:
     """Keep-alive HTTP listener that routes requests to shard workers.
 
-    ``fleet`` is the routing surface (normally a
-    :class:`repro.fleet.supervisor.PlannerFleet`) and must provide:
-    ``worker_ids``, ``default_quota``, ``default_seed``,
-    ``route(key, exclude=...)``, ``link(worker_id)``,
+    ``fleet`` is the routing surface — a
+    :class:`repro.fleet.supervisor.PlannerFleet` or the in-process
+    :class:`repro.fleet.supervisor.LocalFleet` — and must provide:
+    ``worker_ids``, ``default_quota``, ``default_seed``, ``down``,
+    ``warmed_apps``, ``route(key, exclude=...)``, ``link(worker_id)``,
     ``note_lost(worker_id)``, ``restart_worker(worker_id)`` and
-    ``describe()``.
+    ``describe()`` (plus ``start``/``stop``/``warm`` for
+    :func:`run_frontend`).
     """
 
     def __init__(self, fleet, *, host: str = "127.0.0.1", port: int = 0,
@@ -95,8 +125,7 @@ class FleetFrontend:
         #: get a typed 429 ``too_many_requests``.
         self.max_total_inflight = max_total_inflight
         self.shed_retry_after_s = shed_retry_after_s
-        #: Apps that must be warmed before ``/healthz`` reports ready —
-        #: the same readiness contract as the single server.
+        #: Apps that must be warmed before ``/healthz`` reports ready.
         self.expected_warm = tuple(expected_warm)
         self.metrics = MetricsRegistry()
         self._server: asyncio.AbstractServer | None = None
@@ -135,7 +164,8 @@ class FleetFrontend:
     async def start(self) -> None:
         """Bind and start accepting connections (non-blocking)."""
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
+            self._handle_connection, self.host, self.port,
+            limit=_MAX_HEAD_BYTES)
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def serve_forever(self) -> None:
@@ -244,8 +274,11 @@ class FleetFrontend:
                             f"body over {_MAX_BODY_BYTES} bytes"),
                 keep_alive=False)
             return False
-        raw = await reader.readexactly(content_length) if content_length \
-            else b""
+        try:
+            raw = await reader.readexactly(content_length) \
+                if content_length else b""
+        except asyncio.IncompleteReadError:
+            return False  # body cut short by EOF: nobody to answer
 
         self._in_flight += 1
         self._idle.clear()
@@ -285,6 +318,8 @@ class FleetFrontend:
                 try:
                     content_length = int(value.strip())
                 except ValueError:
+                    content_length = -1
+                if content_length < 0:
                     return method, path, keep_alive, 0, "bad Content-Length"
             elif name == "connection":
                 token = value.strip().lower()
@@ -335,10 +370,11 @@ class FleetFrontend:
                 return 200, await self._metrics_snapshot()
             if path == "/metrics.txt":
                 return 200, render_text(await self._metrics_snapshot())
+        if method != "POST" or path in _GET_PATHS:
+            if path in _GET_PATHS or path in _POST_PATHS:
+                return 405, _error_body(
+                    "method_not_allowed", f"{method} {path} not supported")
             return 404, _error_body("not_found", f"no route {path!r}")
-        if method != "POST":
-            return 405, _error_body("method_not_allowed",
-                                    f"{method} not supported")
         if self._draining:
             return 503, _error_body(
                 "draining", "fleet is shutting down; retry elsewhere")
@@ -379,10 +415,8 @@ class FleetFrontend:
 
     async def _healthz(self) -> dict:
         links = {wid: self.fleet.link(wid).up for wid in self.fleet.worker_ids}
-        ejected = sorted(getattr(self.fleet, "down", ()))
-        warmed = getattr(self.fleet, "warmed_apps", None)
-        warm_ok = warmed is None \
-            or set(self.expected_warm) <= set(warmed)
+        ejected = sorted(self.fleet.down)
+        warm_ok = set(self.expected_warm) <= set(self.fleet.warmed_apps)
         return {
             "status": "draining" if self._draining else "ok",
             "ready": not self._draining and all(links.values())
@@ -432,7 +466,10 @@ class FleetFrontend:
         if worker not in self.fleet.worker_ids:
             return 404, _error_body("not_found",
                                     f"no worker {worker!r} in the fleet")
-        await self.fleet.restart_worker(worker)
+        try:
+            await self.fleet.restart_worker(worker)
+        except ValidationError as exc:
+            return 400, _error_body("invalid_request", str(exc))
         return 200, {"restarted": worker}
 
     async def _route_request(self, kind: str, key: str,
@@ -519,3 +556,63 @@ class FleetFrontend:
             counts[fallback] -= 1
         self._routed(fallback).increment()
         return status, body
+
+
+def run_frontend(frontend: FleetFrontend, *, ready_callback=None,
+                 drain_timeout_s: float = 10.0, background=None) -> None:
+    """Blocking entry point of ``celia serve`` and ``celia fleet serve``.
+
+    Starts the routing backend (``frontend.fleet``) and the listener,
+    warms ``frontend.expected_warm`` on their owning shards (so
+    ``/healthz`` reports unready until they are warm), calls
+    ``ready_callback(frontend)``, then serves until SIGTERM/SIGINT.  The
+    signal drains the front end — stop accepting, give in-flight
+    requests up to ``drain_timeout_s``, cut off whatever still runs —
+    before the backend stops.
+
+    ``background`` is a coroutine factory started once the warm-up is
+    done (``celia fleet serve --chaos`` runs its fault injector there).
+    """
+
+    async def _run() -> None:
+        fleet = frontend.fleet
+        await fleet.start()
+        loop = asyncio.get_running_loop()
+        installed: list = []
+        tasks: list = []
+        try:
+            await frontend.start()
+            shutdown = asyncio.Event()
+            for sig in (signal.SIGTERM, signal.SIGINT):
+                try:
+                    loop.add_signal_handler(sig, shutdown.set)
+                    installed.append(sig)
+                except (NotImplementedError, RuntimeError):
+                    pass  # platform without signal support
+            for app in frontend.expected_warm:
+                await fleet.warm(app)
+            if background is not None:
+                tasks.append(asyncio.create_task(background()))
+            if ready_callback is not None:
+                ready_callback(frontend)
+            tasks.append(asyncio.create_task(frontend.serve_forever()))
+            await shutdown.wait()
+            if not await frontend.drain(timeout_s=drain_timeout_s):
+                print(f"drain timeout ({drain_timeout_s:g}s) expired; "
+                      f"closing hung connections", file=sys.stderr,
+                      flush=True)
+        finally:
+            for task in tasks:
+                task.cancel()
+                try:
+                    await task
+                except (asyncio.CancelledError, Exception):
+                    pass
+            for sig in installed:
+                loop.remove_signal_handler(sig)
+            await fleet.stop()
+
+    try:
+        asyncio.run(_run())
+    except KeyboardInterrupt:  # pragma: no cover - interactive interrupt
+        pass

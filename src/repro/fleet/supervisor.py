@@ -21,6 +21,11 @@ of the shared content-addressed snapshot when a cache dir is configured.
 All workers share one ``cache_dir``, so the expensive sweep/frontier
 build happens once fleet-wide and every other worker maps the same
 snapshot file read-only.
+
+:class:`LocalFleet` is the one-shard, in-process counterpart behind
+``celia serve``: the same routing surface over a single
+:class:`~repro.fleet.worker.ShardWorker` reached through a direct-call
+:class:`LocalLink` instead of a subprocess and a socket.
 """
 
 from __future__ import annotations
@@ -37,13 +42,16 @@ from pathlib import Path
 
 import repro
 from repro.errors import ValidationError
-from repro.fleet.frontend import FleetFrontend
+from repro.fleet.frontend import FleetFrontend, run_frontend
 from repro.fleet.hashing import DEFAULT_VNODES, HashRing, warm_key
 from repro.fleet.health import FleetTimeline, HealthMonitor
 from repro.fleet.rpc import WorkerGone, WorkerLink
+from repro.fleet.worker import ShardWorker
 from repro.obs.metrics import global_registry
+from repro.service.planner import PlannerService
 
-__all__ = ["FleetConfig", "PlannerFleet", "run_fleet"]
+__all__ = ["FleetConfig", "LocalFleet", "LocalLink", "PlannerFleet",
+           "run_fleet"]
 
 
 @dataclass(frozen=True)
@@ -405,73 +413,126 @@ class PlannerFleet:
                     continue  # still down; retried on the next tick
 
 
+class LocalLink:
+    """:class:`WorkerLink` for an in-process shard: no socket, no frames.
+
+    :meth:`call_raw` hands the request bytes straight to
+    :meth:`ShardWorker.answer`; the shard shares the front end's event
+    loop, so the link is up for as long as the process is.
+    """
+
+    up = True
+
+    def __init__(self, worker: ShardWorker):
+        self.worker = worker
+        self.worker_id = worker.worker_id
+
+    async def call_raw(self, kind: str, payload: bytes = b"",
+                       *, timeout_s: "float | None" = None
+                       ) -> tuple[int, bytes]:
+        """``(status, raw response bytes)`` for one request.
+
+        ``timeout_s`` is accepted for :class:`WorkerLink` parity and
+        unused: the shard runs on this loop and cannot be lost.
+        """
+        return await self.worker.answer(kind, payload)
+
+    # Dict in, ``(status, dict)`` out — defined on call_raw alone.
+    call = WorkerLink.call
+
+
+class LocalFleet:
+    """One in-process shard behind the front end: ``celia serve``.
+
+    The routing surface :class:`FleetFrontend` consumes, over a single
+    :class:`ShardWorker` (id ``w0``) running in the front end's own
+    process and event loop.  Every request routes to ``w0``; its link is
+    a direct call, so ``celia serve`` pays no socket hop.
+    """
+
+    worker_ids = ("w0",)
+    #: Nothing is ever ejected: the shard lives and dies with the process.
+    down = frozenset()
+
+    def __init__(self, service: PlannerService):
+        self.service = service
+        self.worker = ShardWorker(service, worker_id="w0")
+        self._link = LocalLink(self.worker)
+
+    @property
+    def default_quota(self) -> int:
+        return self.service.config.default_quota
+
+    @property
+    def default_seed(self) -> int:
+        return self.service.config.default_seed
+
+    @property
+    def warmed_apps(self) -> set:
+        """Apps with warm state (an evicted app stops counting)."""
+        return {signature.app for signature in self.service.warm_signatures}
+
+    def route(self, key: str, *, exclude=frozenset()) -> str:
+        return "w0"
+
+    def link(self, worker_id: str) -> LocalLink:
+        return self._link
+
+    def note_lost(self, worker_id: str) -> None:
+        pass  # nothing to eject: the shard is this process
+
+    def describe(self) -> dict:
+        """Topology for ``GET /fleet``."""
+        return {
+            "workers": [{"id": "w0", "pid": os.getpid(), "socket": None,
+                         "alive": True, "routable": True}],
+            "quota": self.default_quota,
+            "seed": self.default_seed,
+        }
+
+    async def start(self) -> None:
+        pass
+
+    async def stop(self) -> None:
+        pass
+
+    async def warm(self, app: str, *, quota: "int | None" = None,
+                   seed: "int | None" = None) -> str:
+        """Warm one signature's state; returns the owner (``w0``)."""
+        await self.service.warm(app, quota=quota, seed=seed)
+        return "w0"
+
+    async def restart_worker(self, worker_id: str) -> None:
+        raise ValidationError(
+            "the in-process shard restarts with its process")
+
+
 def run_fleet(config: FleetConfig, *, ready_callback=None,
               drain_timeout_s: float = 10.0, chaos_plan=None) -> None:
     """Blocking entry point used by ``celia fleet serve``.
 
-    Stands the fleet up, warms ``config.warm_apps`` on their owning
-    shards, then serves until SIGTERM/SIGINT, which drains the front end
-    (stop accepting, finish in-flight, force-close hung connections)
-    before the workers are terminated.
+    Stands the fleet up behind a :class:`FleetFrontend` and serves it
+    through :func:`~repro.fleet.frontend.run_frontend`, which warms
+    ``config.warm_apps`` on their owning shards and drains on
+    SIGTERM/SIGINT before the workers are terminated.
 
     ``chaos_plan`` (a :class:`repro.fleet.chaos.FleetChaosPlan`) starts
     a fault injector against the fleet's own workers once it is ready —
     ``celia fleet serve --chaos S`` for resilience rehearsal.
     """
+    fleet = PlannerFleet(config)
+    frontend = FleetFrontend(
+        fleet, host=config.host, port=config.port,
+        call_timeout_s=config.call_timeout_s,
+        max_inflight=config.max_inflight,
+        max_total_inflight=config.max_total_inflight,
+        shed_retry_after_s=config.shed_retry_after_s,
+        expected_warm=tuple(config.warm_apps))
+    background = None
+    if chaos_plan is not None:
+        from repro.fleet.chaos import ChaosInjector
 
-    async def _run() -> None:
-        fleet = PlannerFleet(config)
-        await fleet.start()
-        frontend = FleetFrontend(
-            fleet, host=config.host, port=config.port,
-            call_timeout_s=config.call_timeout_s,
-            max_inflight=config.max_inflight,
-            max_total_inflight=config.max_total_inflight,
-            shed_retry_after_s=config.shed_retry_after_s,
-            expected_warm=tuple(config.warm_apps))
-        chaos_task: "asyncio.Task | None" = None
-        try:
-            await frontend.start()
-            shutdown = asyncio.Event()
-            loop = asyncio.get_running_loop()
-            installed: list = []
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(sig, shutdown.set)
-                    installed.append(sig)
-                except (NotImplementedError, RuntimeError):
-                    pass  # platform without signal support
-            for app in config.warm_apps:
-                await fleet.warm(app)
-            if chaos_plan is not None:
-                from repro.fleet.chaos import ChaosInjector
-                injector = ChaosInjector(fleet, chaos_plan)
-                chaos_task = asyncio.create_task(injector.run())
-            if ready_callback is not None:
-                ready_callback(frontend)
-            serve_task = asyncio.create_task(frontend.serve_forever())
-            try:
-                await shutdown.wait()
-                completed = await frontend.drain(timeout_s=drain_timeout_s)
-                if not completed:
-                    print(f"fleet drain timeout ({drain_timeout_s:g}s) "
-                          f"expired; closing hung connections",
-                          file=sys.stderr, flush=True)
-            finally:
-                for task in (serve_task, chaos_task):
-                    if task is None:
-                        continue
-                    task.cancel()
-                    try:
-                        await task
-                    except (asyncio.CancelledError, Exception):
-                        pass
-                for sig in installed:
-                    loop.remove_signal_handler(sig)
-        finally:
-            await fleet.stop()
-
-    try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:  # pragma: no cover - interactive interrupt
-        pass
+        def background():
+            return ChaosInjector(fleet, chaos_plan).run()
+    run_frontend(frontend, ready_callback=ready_callback,
+                 drain_timeout_s=drain_timeout_s, background=background)

@@ -1,19 +1,20 @@
-"""One fleet shard: a :class:`PlannerService` behind a JSONL socket.
+"""One planner shard: a :class:`PlannerService` answering framed requests.
 
-Each worker process owns the warm state for the warm-key shard the
-router assigns it, and answers framed requests (see
-:mod:`repro.fleet.rpc`) over a Unix-domain socket.  Planning requests
-flow through the exact same
-:func:`repro.service.server.dispatch_request` path the single-process
-HTTP server uses, so a select answered by a shard is byte-identical to
-one answered by ``celia serve``.
+Each shard owns the warm state for the warm-key shard the router
+assigns it.  A fleet worker process answers framed requests (see
+:mod:`repro.fleet.rpc`) over a Unix-domain socket; ``celia serve`` runs
+one shard in the front end's own process and calls it directly.  Both
+answer through :meth:`ShardWorker.answer`, and planning requests flow
+through :func:`repro.service.server.dispatch_request`, so a select is
+byte-identical whichever way it was served.
 
 Beyond the planning kinds the worker answers control frames:
 
 * ``__ping__``    — liveness (the router's readiness probe);
 * ``__health__``  — worker id, pid and warm signatures;
-* ``__metrics__`` — the worker's service registry merged with its
-  process-global one, for the fleet-wide ``/metrics`` merge;
+* ``__metrics__`` — the worker's service registry (merged with its
+  process-global one in a worker process), for the front end's
+  ``/metrics`` merge;
 * ``__warm__``    — build (or snapshot-load) one signature's state.
 
 Repeated planning requests ride a second-level memo: once the service
@@ -44,7 +45,7 @@ import signal
 import sys
 from collections import OrderedDict
 
-from repro.fleet.rpc import encode_frame, encode_reply_frame
+from repro.fleet.rpc import encode_reply_frame
 from repro.obs.metrics import global_registry, merge_snapshots
 from repro.service.planner import PlannerService, ServiceConfig
 from repro.service.server import dispatch_request
@@ -85,10 +86,17 @@ class _ReplyStream:
 
 
 class ShardWorker:
-    """Serves one :class:`PlannerService` over a framed JSONL socket."""
+    """Answers framed requests for one :class:`PlannerService`.
+
+    With a ``socket_path`` the frames arrive over a Unix-domain socket
+    (a fleet worker process, :func:`main`); without one the worker is
+    the in-process shard behind ``celia serve``, called directly by
+    :class:`repro.fleet.supervisor.LocalLink`.  Both transports answer
+    through :meth:`answer`.
+    """
 
     def __init__(self, service: PlannerService, *, worker_id: str,
-                 socket_path: str):
+                 socket_path: "str | None" = None):
         self.service = service
         self.worker_id = worker_id
         self.socket_path = socket_path
@@ -137,16 +145,17 @@ class ShardWorker:
                 if not line:
                     break
                 header = json.loads(line)
+                kind = header.get("kind", "")
                 length = header.get("len", 0)
                 payload = await reader.readexactly(length) if length else b""
                 # Serve raw-memo hits inline: no task spawn, no dispatch,
                 # no re-encode — the repeat path is a dict lookup.
-                raw = self._raw_lookup(header.get("kind"), payload)
+                raw = self._memo_hit(kind, payload)
                 if raw is not None:
                     replies.send(encode_reply_frame(header["id"], 200, raw))
                     continue
                 task = asyncio.ensure_future(
-                    self._serve_frame(header, payload, replies))
+                    self._reply(header["id"], kind, payload, replies))
                 self._tasks.add(task)
                 task.add_done_callback(self._tasks.discard)
         except (ConnectionError, OSError, ValueError, KeyError,
@@ -166,23 +175,33 @@ class ShardWorker:
             except (ConnectionError, OSError, asyncio.CancelledError):
                 pass
 
-    def _raw_lookup(self, kind, payload: bytes) -> "bytes | None":
+    async def _reply(self, frame_id: int, kind: str, payload: bytes,
+                     replies: _ReplyStream) -> None:
+        status, raw = await self.answer(kind, payload)
+        replies.send(encode_reply_frame(frame_id, status, raw))
+
+    def _memo_hit(self, kind: str, payload: bytes) -> "bytes | None":
         """Serialized-response memo hit for a planning frame, or None."""
-        if not kind or kind.startswith("__"):
-            return None
-        if self._slow_s > 0:
-            return None  # an injected-slow shard must not answer fast
+        if kind.startswith("__") or self._slow_s > 0:
+            return None  # control frame, or an injected-slow shard
         raw = self._raw_responses.get((kind, payload))
         if raw is not None:
             self._raw_responses.move_to_end((kind, payload))
             self._raw_hits.increment()
         return raw
 
-    async def _serve_frame(self, header: dict, payload: bytes,
-                           replies: _ReplyStream) -> None:
-        kind = header.get("kind")
+    async def answer(self, kind: str, payload: bytes) -> tuple[int, bytes]:
+        """One frame's ``(status, response bytes)``.
+
+        ``payload`` is the request JSON as raw bytes and the reply bytes
+        go out verbatim, so a front end forwarding them never re-encodes
+        a response.  Cached planning answers are memoized as bytes.
+        """
+        raw = self._memo_hit(kind, payload)
+        if raw is not None:
+            return 200, raw
         try:
-            if self._slow_s > 0 and kind and not kind.startswith("__"):
+            if self._slow_s > 0 and not kind.startswith("__"):
                 await asyncio.sleep(self._slow_s)
             request = json.loads(payload) if payload else {}
             if not isinstance(request, dict):
@@ -192,22 +211,17 @@ class ShardWorker:
         except Exception as exc:  # never kill the worker on one frame
             status, body = 500, {"error": {"code": "internal",
                                            "message": str(exc)}}
-        # Default (spaced) separators so the response bytes — which the
-        # front end forwards verbatim — match ``celia serve`` exactly.
+        # Default (spaced) separators: the same bytes for every
+        # transport and for the in-process ``dispatch_request`` answer.
         raw = json.dumps(body).encode("utf-8")
-        if kind and not kind.startswith("__") and status == 200 \
-                and body.get("cached"):
+        if status == 200 and body.get("cached") \
+                and not kind.startswith("__"):
             limit = self.service.config.result_cache_size
             if limit > 0:
                 self._raw_responses[(kind, payload)] = raw
                 while len(self._raw_responses) > limit:
                     self._raw_responses.popitem(last=False)
-        frame_id = header.get("id")
-        if isinstance(frame_id, int):
-            replies.send(encode_reply_frame(frame_id, status, raw))
-        else:  # pragma: no cover - malformed header, defensive
-            replies.send(encode_frame({"id": frame_id, "status": status},
-                                      raw))
+        return status, raw
 
     async def _dispatch(self, request: dict) -> tuple[int, dict]:
         kind = request.get("kind")
@@ -224,8 +238,13 @@ class ShardWorker:
             self._slow_s = max(0.0, float(request.get("slow_s", 0.0)))
             return 200, {"worker": self.worker_id, "slow_s": self._slow_s}
         if kind == "__metrics__":
+            service = self.service.metrics.snapshot()
+            if self.socket_path is None:
+                # In-process: the front end already reports this
+                # process's global registry, unlabelled and once.
+                return 200, service
             return 200, merge_snapshots(global_registry().snapshot(),
-                                        self.service.metrics.snapshot())
+                                        service)
         if kind == "__warm__":
             signature = await self.service.warm(
                 request["app"], quota=request.get("quota"),

@@ -3,8 +3,10 @@
 The serving layer of the reproduction: keep the expensive pipeline
 artefacts (catalog → evaluation cache → frontier index) warm in one
 long-lived process, coalesce concurrent selections into vectorized
-batches, apply admission control, and expose everything over stdlib
-JSON-over-HTTP with live metrics.
+batches, apply admission control, and answer typed JSON error
+envelopes (:func:`repro.service.server.dispatch_request`).  The HTTP
+layer is the fleet front end (:mod:`repro.fleet.frontend`): ``celia
+serve`` runs it over one in-process shard of this service.
 
     service = PlannerService()
     response = await service.select("galaxy", 65536, 8000, 24, 350)
@@ -34,7 +36,6 @@ from repro.service.serialize import (
     prediction_to_dict,
     selection_to_dict,
 )
-from repro.service.server import PlannerServer, run_server
 
 __all__ = [
     "KNOWN_APPS",
@@ -43,7 +44,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "PlannerClient",
-    "PlannerServer",
     "PlannerService",
     "RequestTimeoutError",
     "ServiceConfig",
@@ -55,5 +55,4 @@ __all__ = [
     "plan_to_dict",
     "prediction_to_dict",
     "selection_to_dict",
-    "run_server",
 ]

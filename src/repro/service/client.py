@@ -84,8 +84,10 @@ _TRANSIENT_ERRORS = (ConnectionError, socket.timeout, TimeoutError,
 
 
 class PlannerClient:
-    """One service endpoint; a fresh connection per call (the server
-    closes after each response).
+    """One service endpoint; a fresh connection per call.
+
+    The server keeps connections alive, but the client closes each one
+    after its response, so a retry never inherits a half-read stream.
 
     Parameters
     ----------

@@ -1,324 +1,48 @@
-"""Stdlib JSON-over-HTTP front-end for :class:`PlannerService`.
+"""The service's request dispatch and error contract.
 
-A deliberately small HTTP/1.1 server on ``asyncio.start_server`` — no
-frameworks, one connection per request — exposing:
-
-* ``POST /v1/select`` / ``/v1/predict`` / ``/v1/plan`` / ``/v1/replan``
-  — a JSON request body (the path supplies the ``kind`` field);
-* ``GET /metrics`` — the live metrics snapshot: the service's own
-  request/latency series merged with the process-global registry
-  (``sweep_*``, ``eval_cache_*``, ``runtime_*`` — see
-  ``docs/observability.md``);
-* ``GET /metrics.txt`` — the same snapshot as a flat text exposition;
-* ``GET /healthz`` — liveness, warm-state readiness and drain status.
-
-Library errors map to typed JSON error envelopes::
+:func:`dispatch_request` runs one decoded request against a
+:class:`PlannerService` and maps library errors to typed JSON error
+envelopes::
 
     {"error": {"code": "saturated", "message": "..."}}
 
-with the status codes a load balancer expects: 400 for malformed or
-invalid requests, 422 for infeasible plans, 503 (+ ``Retry-After``) when
-admission control rejects or the server is draining, 504 for missed
-request deadlines.
-
-Shutdown is graceful: ``run_server`` installs a SIGTERM/SIGINT handler
-that stops accepting connections, lets in-flight requests finish (up to
-a drain timeout), then exits — so a rolling restart never drops work
-mid-computation.
+with the status codes a load balancer expects: 400 for invalid
+requests, 422 for infeasible plans, 503 when admission control rejects,
+504 for missed request deadlines.  Every serving path answers through
+it — the shard worker of :mod:`repro.fleet.worker`, which backs both
+``celia serve`` and ``celia fleet serve`` — so a request answers
+byte-identically whichever way it arrived.  The HTTP layer lives in
+:mod:`repro.fleet.frontend`.
 """
 
 from __future__ import annotations
 
-import asyncio
-import json
-import signal
-
 from repro.errors import InfeasibleError, ReproError, ValidationError
-from repro.obs.metrics import global_registry, merge_snapshots, render_text
 from repro.service.planner import (
     PlannerService,
     RequestTimeoutError,
     ServiceSaturatedError,
 )
 
-__all__ = ["PlannerServer", "dispatch_request", "run_server"]
+__all__ = ["dispatch_request"]
 
-_MAX_BODY_BYTES = 1 << 20
-_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            405: "Method Not Allowed", 413: "Payload Too Large",
-            422: "Unprocessable Entity", 429: "Too Many Requests",
-            500: "Internal Server Error", 503: "Service Unavailable",
-            504: "Gateway Timeout"}
-
-_POST_ROUTES = {"/v1/select": "select", "/v1/predict": "predict",
-                "/v1/plan": "plan", "/v1/replan": "replan"}
-
-
-def _error_body(code: str, message: str) -> dict:
-    return {"error": {"code": code, "message": message}}
+#: ``(error type, status, code)``, most specific type first.
+_ERROR_CONTRACT = (
+    (ServiceSaturatedError, 503, "saturated"),
+    (RequestTimeoutError, 504, "deadline_exceeded"),
+    (InfeasibleError, 422, "infeasible"),
+    (ValidationError, 400, "invalid_request"),
+    (ReproError, 400, "error"),
+)
 
 
 async def dispatch_request(service: PlannerService,
                            request: dict) -> tuple[int, dict]:
-    """Run one decoded request; map library errors to (status, envelope).
-
-    The single source of truth for the service's HTTP error contract,
-    shared by :class:`PlannerServer` and the fleet shard workers
-    (:mod:`repro.fleet.worker`) so a request answers identically whether
-    it reached the service directly or through the shard router.
-    """
+    """Run one decoded request; map library errors to (status, envelope)."""
     try:
         return 200, await service.handle(request)
-    except ServiceSaturatedError as exc:
-        return 503, _error_body("saturated", str(exc))
-    except RequestTimeoutError as exc:
-        return 504, _error_body("deadline_exceeded", str(exc))
-    except InfeasibleError as exc:
-        return 422, _error_body("infeasible", str(exc))
-    except ValidationError as exc:
-        return 400, _error_body("invalid_request", str(exc))
     except ReproError as exc:
-        return 400, _error_body("error", str(exc))
-
-
-class PlannerServer:
-    """Owns the listening socket and request/response framing."""
-
-    def __init__(self, service: PlannerService, *, host: str = "127.0.0.1",
-                 port: int = 0, expected_warm: tuple[str, ...] = ()):
-        self.service = service
-        self.host = host
-        self.port = port  # 0 → ephemeral; replaced by the bound port
-        self.expected_warm = tuple(expected_warm)
-        self._server: asyncio.AbstractServer | None = None
-        self._in_flight = 0
-        self._draining = False
-        self._idle = asyncio.Event()
-        self._idle.set()
-
-    @property
-    def in_flight(self) -> int:
-        """Connections currently being served."""
-        return self._in_flight
-
-    @property
-    def draining(self) -> bool:
-        """True once graceful shutdown has begun."""
-        return self._draining
-
-    @property
-    def ready(self) -> bool:
-        """Readiness: accepting requests and all expected state is warm."""
-        if self._draining:
-            return False
-        warm_apps = {s.app for s in self.service.warm_signatures}
-        return all(app in warm_apps for app in self.expected_warm)
-
-    async def start(self) -> None:
-        """Bind and start accepting connections (non-blocking)."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._server.serve_forever()
-
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-
-    async def drain(self, *, timeout_s: float = 10.0) -> bool:
-        """Graceful shutdown: refuse new work, wait for in-flight requests.
-
-        Marks the server draining (new requests get 503 + ``Retry-After``,
-        ``/healthz`` flips unready so load balancers stop routing here),
-        stops the listener, then waits up to ``timeout_s`` for in-flight
-        requests to complete.  Returns True if the server drained fully,
-        False if the timeout expired with requests still running.
-        """
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        try:
-            await asyncio.wait_for(self._idle.wait(), timeout_s)
-            return True
-        except asyncio.TimeoutError:
-            return False
-
-    def _metrics_snapshot(self) -> dict:
-        """Service registry merged with the process-global one.
-
-        Service series keep their historical names (``requests_*``,
-        ``latency_*`` …) so existing scrapers see unchanged output; the
-        global registry contributes the prefixed supervisor/cache/
-        runtime series on top.
-        """
-        return merge_snapshots(global_registry().snapshot(),
-                               self.service.metrics.snapshot())
-
-    # -- request handling ------------------------------------------------------
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        self._in_flight += 1
-        self._idle.clear()
-        try:
-            try:
-                status, body = await self._handle_request(reader)
-            except Exception as exc:  # last-resort: never kill the server
-                status, body = 500, _error_body("internal", str(exc))
-            if isinstance(body, str):  # text exposition (/metrics.txt)
-                content_type = "text/plain; charset=utf-8"
-                payload = body.encode("utf-8")
-            else:
-                content_type = "application/json"
-                payload = json.dumps(body).encode("utf-8")
-            head = (f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-                    f"Content-Type: {content_type}\r\n"
-                    f"Content-Length: {len(payload)}\r\n"
-                    + ("Retry-After: 1\r\n" if status == 503 else "")
-                    + "Connection: close\r\n\r\n").encode("ascii")
-            try:
-                writer.write(head + payload)
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass  # client went away; nothing to do
-            finally:
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
-        finally:
-            self._in_flight -= 1
-            if self._in_flight == 0:
-                self._idle.set()
-
-    async def _handle_request(self, reader: asyncio.StreamReader
-                              ) -> tuple[int, dict]:
-        request_line = (await reader.readline()).decode("latin-1").strip()
-        if not request_line:
-            return 400, _error_body("invalid_request", "empty request")
-        parts = request_line.split()
-        if len(parts) != 3:
-            return 400, _error_body("invalid_request",
-                                    f"malformed request line {request_line!r}")
-        method, path, _version = parts
-        content_length = 0
-        while True:
-            line = (await reader.readline()).decode("latin-1")
-            if line in ("\r\n", "\n", ""):
-                break
-            name, _, value = line.partition(":")
-            if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    return 400, _error_body("invalid_request",
-                                            "bad Content-Length")
-        if content_length > _MAX_BODY_BYTES:
-            return 413, _error_body("payload_too_large",
-                                    f"body over {_MAX_BODY_BYTES} bytes")
-
-        if method == "GET":
-            if path == "/healthz":
-                return 200, {
-                    "status": "draining" if self._draining else "ok",
-                    "ready": self.ready,
-                    "draining": self._draining,
-                    "in_flight": self._in_flight,
-                    "expected_warm": list(self.expected_warm),
-                    "warm_signatures": [
-                        {"app": s.app, "quota": s.quota, "seed": s.seed}
-                        for s in self.service.warm_signatures
-                    ],
-                }
-            if path == "/metrics":
-                return 200, self._metrics_snapshot()
-            if path == "/metrics.txt":
-                return 200, render_text(self._metrics_snapshot())
-            return 404, _error_body("not_found", f"no route {path!r}")
-
-        if method != "POST":
-            return 405, _error_body("method_not_allowed",
-                                    f"{method} not supported")
-        if self._draining:
-            # Health and metrics stay observable during the drain; new
-            # work is turned away so in-flight requests can finish.
-            return 503, _error_body(
-                "draining", "server is shutting down; retry elsewhere")
-        kind = _POST_ROUTES.get(path)
-        if kind is None:
-            return 404, _error_body("not_found", f"no route {path!r}")
-        raw = await reader.readexactly(content_length) if content_length \
-            else b""
-        try:
-            request = json.loads(raw.decode("utf-8")) if raw else {}
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            return 400, _error_body("invalid_request", f"bad JSON: {exc}")
-        if not isinstance(request, dict):
-            return 400, _error_body("invalid_request",
-                                    "body must be a JSON object")
-        request["kind"] = kind
-        return await self._dispatch(request)
-
-    async def _dispatch(self, request: dict) -> tuple[int, dict]:
-        return await dispatch_request(self.service, request)
-
-
-def run_server(service: PlannerService, *, host: str = "127.0.0.1",
-               port: int = 8337, warm_apps: tuple[str, ...] = (),
-               ready_callback=None, drain_timeout_s: float = 10.0) -> None:
-    """Blocking entry point used by ``celia serve``.
-
-    ``warm_apps`` are warmed before the ready callback fires, so the
-    first real request never pays the state build (and ``/healthz``
-    reports unready until they are warm).  SIGTERM and SIGINT trigger a
-    graceful drain: the listener closes, in-flight requests get up to
-    ``drain_timeout_s`` to finish, then the process exits.
-    """
-
-    async def _run() -> None:
-        server = PlannerServer(service, host=host, port=port,
-                               expected_warm=warm_apps)
-        await server.start()
-        shutdown = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        installed: list[signal.Signals] = []
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, shutdown.set)
-                installed.append(sig)
-            except (NotImplementedError, RuntimeError):
-                pass  # platform without signal support; Ctrl-C still works
-        for app in warm_apps:
-            await service.warm(app)
-        if ready_callback is not None:
-            ready_callback(server)
-        serve_task = asyncio.create_task(server.serve_forever())
-        try:
-            await shutdown.wait()
-            drained = await server.drain(timeout_s=drain_timeout_s)
-            if not drained:
-                print(f"drain timeout ({drain_timeout_s:g}s) expired with "
-                      f"{server.in_flight} request(s) in flight",
-                      flush=True)
-        finally:
-            serve_task.cancel()
-            try:
-                await serve_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            for sig in installed:
-                loop.remove_signal_handler(sig)
-
-    try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:
-        pass
+        status, code = next((status, code)
+                            for error_type, status, code in _ERROR_CONTRACT
+                            if isinstance(exc, error_type))
+        return status, {"error": {"code": code, "message": str(exc)}}

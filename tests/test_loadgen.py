@@ -4,7 +4,8 @@ The determinism tests are the heart: a trace must be byte-identical for
 the same seed (including across a fresh interpreter), and a replay
 report must not depend on the concurrency interleaving that produced its
 observations.  The e2e tests replay short traces against a real
-in-process :class:`~repro.service.PlannerServer` on a tiny catalog.
+in-process ``celia serve`` stack (the front end over a
+:class:`~repro.fleet.LocalFleet`) on a tiny catalog.
 """
 
 import asyncio
@@ -35,7 +36,8 @@ from repro.loadgen import (
 )
 from repro.loadgen.replay import Observation, ReplayResult
 from repro.obs.metrics import MetricsRegistry, group_by_label, parse_series
-from repro.service import PlannerServer, PlannerService, ServiceConfig
+from repro.fleet import FleetFrontend, LocalFleet
+from repro.service import PlannerService, ServiceConfig
 
 ROWS = [("a.small", 2, 2.0, 0.10), ("a.big", 4, 2.0, 0.21),
         ("b.small", 2, 2.5, 0.16)]
@@ -358,7 +360,7 @@ class TestReplayEndToEnd:
     def _replay(self, trace, *, registry=None, time_scale=4.0,
                 prewarm_first=True):
         async def run():
-            server = PlannerServer(make_service())
+            server = FleetFrontend(LocalFleet(make_service()))
             await server.start()
             try:
                 if prewarm_first:
@@ -385,7 +387,8 @@ class TestReplayEndToEnd:
         assert all(o.latency_s >= o.service_s - 1e-9
                    for o in result.observations)
         # server-side metrics were scraped
-        assert "requests_total" in report.server_metrics.get("counters", {})
+        assert 'requests_total{worker="w0"}' in \
+            report.server_metrics.get("counters", {})
 
     def test_per_tenant_metrics_labels(self):
         trace = generate_trace(SMALL)

@@ -247,19 +247,23 @@ class TestServiceMetricsMerge:
     def test_server_merges_global_registry(self):
         import asyncio
 
-        from repro.service import PlannerServer, PlannerService, ServiceConfig
+        from repro.fleet import FleetFrontend, LocalFleet
+        from repro.service import PlannerService, ServiceConfig
 
         global_registry().counter("sweep_runs_total").increment(3)
         service = PlannerService(config=ServiceConfig(default_quota=2,
                                                       cache_dir=False))
         service.metrics.counter("requests_total").increment()
 
-        async def snapshot_and_text():
-            server = PlannerServer(service)
-            return server._metrics_snapshot()
+        async def snapshot():
+            server = FleetFrontend(LocalFleet(service))
+            return await server._metrics_snapshot()
 
-        merged = asyncio.run(snapshot_and_text())
-        # Service series keep their historical names; global series ride
-        # along under their prefixes.
-        assert merged["counters"]["requests_total"] == 1
-        assert merged["counters"]["sweep_runs_total"] == 3
+        merged = asyncio.run(snapshot())
+        # Service series carry the shard's worker label; the process-
+        # global series ride along unlabelled, each exactly once.
+        counters = merged["counters"]
+        assert counters['requests_total{worker="w0"}'] == 1
+        assert "requests_total" not in counters
+        assert counters["sweep_runs_total"] == 3
+        assert 'sweep_runs_total{worker="w0"}' not in counters

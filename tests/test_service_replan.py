@@ -6,9 +6,9 @@ import pytest
 
 from repro.cloud.catalog import make_catalog
 from repro.errors import ValidationError
+from repro.fleet import FleetFrontend, LocalFleet
 from repro.service import (
     PlannerClient,
-    PlannerServer,
     PlannerService,
     ServiceConfig,
 )
@@ -116,7 +116,7 @@ class TestReplanOverHttp:
         service = make_service()
 
         async def run():
-            server = PlannerServer(service)
+            server = FleetFrontend(LocalFleet(service))
             await server.start()
             try:
                 client = PlannerClient(port=server.port)

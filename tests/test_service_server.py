@@ -1,24 +1,27 @@
-"""Tests for the HTTP front-end and client (:mod:`repro.service`).
+"""Tests for the ``celia serve`` HTTP stack and the client.
 
-The server runs on the test's own event loop; client calls are blocking
-stdlib HTTP, so they run in an executor thread — exactly how a real
-caller would hit a live service.
+The stack is the fleet front end over one in-process shard
+(``FleetFrontend(LocalFleet(service))``).  It runs on the test's own
+event loop; client calls are blocking stdlib HTTP, so they run in an
+executor thread — exactly how a real caller would hit a live service.
 """
 
 import asyncio
+import gc
 import json
 
 import pytest
 
 from repro.cloud.catalog import make_catalog
 from repro.errors import ReproError, ServiceUnavailableError, ValidationError
+from repro.fleet import FleetFrontend, LocalFleet
 from repro.service import (
     PlannerClient,
-    PlannerServer,
     PlannerService,
     ServiceConfig,
     ServiceFaults,
     ServiceSaturatedError,
+    SpaceSignature,
 )
 
 ROWS = [("a.small", 2, 2.0, 0.10), ("a.big", 4, 2.0, 0.21),
@@ -35,11 +38,16 @@ def make_service(*, faults=None, **overrides) -> PlannerService:
     )
 
 
+def serve_in_process(service: PlannerService, **kwargs) -> FleetFrontend:
+    """The ``celia serve`` stack: the front end over one in-process shard."""
+    return FleetFrontend(LocalFleet(service), **kwargs)
+
+
 def with_server(service: PlannerService, fn):
     """Start the server, run blocking ``fn(client)`` in a thread, stop."""
 
     async def run():
-        server = PlannerServer(service)
+        server = serve_in_process(service)
         await server.start()
         try:
             client = PlannerClient(port=server.port)
@@ -100,10 +108,27 @@ class TestEndpoints:
 
         health, metrics = with_server(service, call)
         assert health["status"] == "ok"
-        assert health["warm_signatures"] == [
-            {"app": "galaxy", "quota": 2, "seed": 0}]
-        assert metrics["counters"]["requests_total"] == 1
-        assert metrics["histograms"]["latency_select_s"]["count"] == 1
+        assert health["workers"] == {"w0": True}
+        assert service.warm_signatures == (SpaceSignature("galaxy", 2, 0),)
+        # Service series carry the shard's worker label, exactly once.
+        assert metrics["counters"]['requests_total{worker="w0"}'] == 1
+        assert "requests_total" not in metrics["counters"]
+        assert metrics["histograms"][
+            'latency_select_s{worker="w0"}']["count"] == 1
+
+
+def raw_exchange(client, method, path, body=None):
+    """One stdlib HTTP exchange, bypassing the client's error mapping."""
+    import http.client
+
+    conn = http.client.HTTPConnection(client.host, client.port, timeout=10)
+    try:
+        conn.request(method, path, body=body,
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
 
 
 class TestErrorMapping:
@@ -126,24 +151,19 @@ class TestErrorMapping:
 
     def test_get_on_post_route_405(self):
         def call(client):
-            with pytest.raises(ReproError):
-                client._request("GET", "/v1/select")
-            return True
+            return [raw_exchange(client, method, path)
+                    for method, path in (("GET", "/v1/select"),
+                                         ("GET", "/fleet/restart"),
+                                         ("POST", "/healthz"),
+                                         ("PUT", "/v1/plan"))]
 
-        assert with_server(make_service(), call)
+        for status, body in with_server(make_service(), call):
+            assert status == 405
+            assert body["error"]["code"] == "method_not_allowed"
 
     def test_bad_json_body_400(self):
         def call(client):
-            import http.client
-
-            conn = http.client.HTTPConnection(client.host, client.port,
-                                              timeout=10)
-            conn.request("POST", "/v1/select", body=b"{not json",
-                         headers={"Content-Type": "application/json"})
-            response = conn.getresponse()
-            body = json.loads(response.read())
-            conn.close()
-            return response.status, body
+            return raw_exchange(client, "POST", "/v1/select", b"{not json")
 
         status, body = with_server(make_service(), call)
         assert status == 400
@@ -155,7 +175,7 @@ class TestErrorMapping:
                                max_batch=1)
 
         async def run():
-            server = PlannerServer(service)
+            server = serve_in_process(service)
             await server.start()
             try:
                 await service.warm("galaxy")
@@ -180,12 +200,121 @@ class TestErrorMapping:
         assert asyncio.run(run())
 
 
+def framing_exchange(service: PlannerService, *payloads: bytes):
+    """Send each raw payload on its own connection, half-close, and read
+    the reply to EOF; returns the replies and any error the event loop
+    reported (an exception escaping a connection handler lands there)."""
+
+    async def run():
+        loop = asyncio.get_running_loop()
+        errors = []
+        loop.set_exception_handler(lambda _loop, context: errors.append(
+            context.get("message")))
+        server = serve_in_process(service)
+        await server.start()
+        try:
+            replies = []
+            for payload in payloads:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port)
+                writer.write(payload)
+                writer.write_eof()
+                replies.append(await asyncio.wait_for(reader.read(), 10))
+                writer.close()
+            await asyncio.sleep(0.05)  # let handler tasks finish
+            gc.collect()  # surfaces never-retrieved task exceptions
+            return replies, errors
+        finally:
+            await server.stop()
+
+    return asyncio.run(run())
+
+
+HEALTH = b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
+
+
+def status_of(reply: bytes) -> int:
+    return int(reply.split(b" ", 2)[1])
+
+
+def padded_head(size: int) -> bytes:
+    """A ``GET /healthz`` head block of exactly ``size`` bytes."""
+    head = b"GET /healthz HTTP/1.1\r\nConnection: close\r\nX-Pad: "
+    return head + b"a" * (size - len(head) - 4) + b"\r\n\r\n"
+
+
+class TestHttpFraming:
+    @pytest.mark.parametrize("length", [b"-5", b"ten", b""])
+    def test_malformed_content_length_is_typed_400(self, length):
+        request = (b"POST /v1/select HTTP/1.1\r\nContent-Length: "
+                   + length + b"\r\n\r\n{}")
+        (reply, after), errors = framing_exchange(make_service(), request,
+                                                  HEALTH)
+        assert status_of(reply) == 400
+        body = json.loads(reply.split(b"\r\n\r\n", 1)[1])
+        assert body["error"] == {"code": "invalid_request",
+                                 "message": "bad Content-Length"}
+        assert b"Connection: close" in reply
+        assert status_of(after) == 200  # the listener is unharmed
+        assert errors == []
+
+    def test_truncated_body_closes_quietly(self):
+        request = (b"POST /v1/select HTTP/1.1\r\nContent-Length: 100"
+                   b"\r\n\r\n{\"app\": \"galaxy\"")
+        (reply, after), errors = framing_exchange(make_service(), request,
+                                                  HEALTH)
+        assert reply == b""  # nothing to answer: the request never ended
+        assert status_of(after) == 200
+        assert errors == []
+
+    def test_head_over_limit_is_400_and_closed(self):
+        (reply, after), errors = framing_exchange(
+            make_service(), padded_head(17 * 1024), HEALTH)
+        assert status_of(reply) == 400
+        body = json.loads(reply.split(b"\r\n\r\n", 1)[1])
+        assert body["error"]["code"] == "invalid_request"
+        assert "over 16384 bytes" in body["error"]["message"]
+        assert b"Connection: close" in reply
+        assert status_of(after) == 200
+        assert errors == []
+
+    def test_head_under_limit_is_served(self):
+        (reply,), errors = framing_exchange(make_service(),
+                                            padded_head(15 * 1024))
+        assert status_of(reply) == 200
+        assert json.loads(reply.split(b"\r\n\r\n", 1)[1])["status"] == "ok"
+        assert errors == []
+
+    def test_keep_alive_serves_sequential_requests(self):
+        async def run():
+            server = serve_in_process(make_service())
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port)
+                statuses = []
+                for _ in range(3):
+                    writer.write(b"GET /healthz HTTP/1.1\r\n\r\n")
+                    head = await reader.readuntil(b"\r\n\r\n")
+                    assert b"Connection: keep-alive" in head
+                    length = int(head.split(b"Content-Length: ")[1]
+                                 .split(b"\r\n")[0])
+                    await reader.readexactly(length)
+                    statuses.append(status_of(head))
+                writer.close()
+                return statuses
+            finally:
+                await server.drain(timeout_s=1.0)
+
+        assert asyncio.run(run()) == [200, 200, 200]
+
+
 class TestHealthReadiness:
     def test_unready_until_expected_state_is_warm(self):
         service = make_service()
 
         async def run():
-            server = PlannerServer(service, expected_warm=("galaxy",))
+            server = serve_in_process(service, expected_warm=("galaxy",))
             await server.start()
             try:
                 client = PlannerClient(port=server.port)
@@ -209,7 +338,7 @@ class TestGracefulDrain:
         service = make_service()
 
         async def run():
-            server = PlannerServer(service)
+            server = serve_in_process(service)
             await server.start()
             try:
                 # The drain window: flag up, listener still accepting
@@ -239,7 +368,7 @@ class TestGracefulDrain:
         service = make_service()
 
         async def run():
-            server = PlannerServer(service)
+            server = serve_in_process(service)
             await server.start()
             port = server.port
             drained = await server.drain(timeout_s=1.0)
@@ -262,7 +391,7 @@ class TestGracefulDrain:
         service = make_service(faults=ServiceFaults(compute_delay_s=0.3))
 
         async def run():
-            server = PlannerServer(service)
+            server = serve_in_process(service)
             await server.start()
             await service.warm("galaxy")
             client = PlannerClient(port=server.port, timeout_s=10.0)
@@ -283,28 +412,37 @@ class TestGracefulDrain:
         assert in_flight == 0
 
     def test_drain_timeout_reports_failure(self):
+        """A request still running when the drain timeout expires is cut
+        off: drain reports failure and the client sees a typed error."""
         service = make_service(faults=ServiceFaults(compute_delay_s=0.5))
 
         async def run():
-            server = PlannerServer(service)
+            server = serve_in_process(service)
             await server.start()
             try:
                 await service.warm("galaxy")
-                client = PlannerClient(port=server.port, timeout_s=10.0)
+                client = PlannerClient(port=server.port, timeout_s=10.0,
+                                       max_attempts=1)
                 loop = asyncio.get_running_loop()
-                request = loop.run_in_executor(
-                    None, lambda: client.select(
-                        "galaxy", n=65536, a=2000, deadline_hours=48,
-                        budget_dollars=350))
+
+                def cut_off():
+                    with pytest.raises(ServiceUnavailableError):
+                        client.select("galaxy", n=65536, a=2000,
+                                      deadline_hours=48, budget_dollars=350)
+                    return True
+
+                request = loop.run_in_executor(None, cut_off)
                 while server.in_flight == 0:
                     await asyncio.sleep(0.01)
                 drained = await server.drain(timeout_s=0.05)
-                await request  # let it finish before teardown
-                return drained
+                return drained, await request, server.in_flight
             finally:
                 await server.stop()
 
-        assert asyncio.run(run()) is False
+        drained, cut, in_flight = asyncio.run(run())
+        assert drained is False
+        assert cut
+        assert in_flight == 0
 
 
 class TestClientRetry:
@@ -437,7 +575,7 @@ class TestSmoke:
         service = make_service()
 
         async def run():
-            server = PlannerServer(service)
+            server = serve_in_process(service)
             await server.start()
             client = PlannerClient(port=server.port)
             loop = asyncio.get_running_loop()
@@ -451,4 +589,4 @@ class TestSmoke:
 
         response, snapshot = asyncio.run(run())
         assert response["result"]["feasible_count"] > 0
-        assert snapshot["counters"]["requests_select"] == 1
+        assert snapshot["counters"]['requests_select{worker="w0"}'] == 1
