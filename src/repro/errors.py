@@ -126,9 +126,11 @@ class ValidationError(ReproError):
 class ServiceUnavailableError(ReproError):
     """A remote planning service stayed unreachable through bounded retries.
 
-    Raised by :class:`~repro.service.client.PlannerClient` after its
-    retry budget is spent on connection failures and 503 responses; the
-    last underlying error is attached as ``__cause__``.
+    Raised by :class:`~repro.service.client.PlannerClient` when its
+    attempts or its retry budget run out on connection failures, 503
+    responses or malformed (non-JSON) replies; the last underlying error
+    — a socket error, a typed 503, a JSON decode error — is attached as
+    ``__cause__``.
     """
 
     def __init__(self, message: str, *, attempts: int):
@@ -142,10 +144,11 @@ class WorkerLostError(ServiceUnavailableError):
     The fleet front end returns this as a 503 ``worker_lost`` envelope
     when the owning shard dropped mid-request and the one fallback
     attempt failed too.  :class:`~repro.service.client.PlannerClient`
-    replays an idempotent request exactly once — the dead worker has
-    already left routing, so the replay lands on the re-routed shard —
-    and raises this (never a raw ``ConnectionError``) if that also
-    fails.
+    replays an idempotent request exactly once, immediately and without
+    spending a retry token — the dead worker has already left routing,
+    so the replay lands on the re-routed shard — and raises this (never
+    a raw ``ConnectionError``) if a second ``worker_lost`` follows;
+    ``attempts`` counts every transport call, the replay included.
     """
 
     def __init__(self, message: str, *, attempts: int = 1):

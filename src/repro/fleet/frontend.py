@@ -480,29 +480,42 @@ class FleetFrontend:
         ``_route_keys``) only to derive the warm key; the payload
         crossing the worker hop (and the response bytes coming back
         into the HTTP reply) never re-serialize.
+
+        At most two owners are tried: if the first one's link drops
+        (:class:`WorkerGone`), the request is rerouted once to the
+        fallback owner with the lost worker excluded.
         """
-        try:
-            worker = self.fleet.route(key)
-        except ValidationError as exc:
-            self.metrics.counter("fleet_worker_lost_total").increment()
-            return 503, _error_body("worker_lost", str(exc))
-        shed = self._shed_check(worker)
-        if shed is not None:
-            return shed
-        counts = self._worker_inflight
-        counts[worker] = counts.get(worker, 0) + 1
-        try:
-            status, body = await self.fleet.link(worker).call_raw(
-                kind, raw, timeout_s=self.call_timeout_s)
-        except WorkerGone as exc:
-            self.fleet.note_lost(exc.worker_id)
-            lost = exc
-        else:
+        lost: WorkerGone | None = None
+        excluded = frozenset()
+        while True:
+            try:
+                worker = self.fleet.route(key, exclude=excluded)
+            except ValidationError as exc:
+                self.metrics.counter("fleet_worker_lost_total").increment()
+                message = str(exc) if lost is None else f"{lost}; {exc}"
+                return 503, _error_body("worker_lost", message)
+            shed = self._shed_check(worker)
+            if shed is not None:
+                return shed
+            counts = self._worker_inflight
+            counts[worker] = counts.get(worker, 0) + 1
+            try:
+                status, body = await self.fleet.link(worker).call_raw(
+                    kind, raw, timeout_s=self.call_timeout_s)
+            except WorkerGone as exc:
+                self.fleet.note_lost(exc.worker_id)
+                if lost is not None:
+                    self.metrics.counter(
+                        "fleet_worker_lost_total").increment()
+                    return 503, _error_body(
+                        "worker_lost", f"{lost} and fallback failed: {exc}")
+                lost, excluded = exc, {exc.worker_id}
+                self.metrics.counter("fleet_reroutes_total").increment()
+                continue
+            finally:
+                counts[worker] -= 1
             self._routed(worker).increment()
             return status, body
-        finally:
-            counts[worker] -= 1
-        return await self._reroute(key, kind, raw, lost=lost)
 
     def _shed_check(self, worker: str) -> "tuple[int, dict] | None":
         """Deterministic load shedding at the per-worker in-flight cap.
@@ -527,35 +540,6 @@ class FleetFrontend:
                                            labels={"worker": worker})
             self._routed_counters[worker] = counter
         return counter
-
-    async def _reroute(self, key: str, kind: str, raw: bytes,
-                       *, lost: WorkerGone) -> tuple[int, bytes]:
-        """One retry against the fallback owner after a worker drop."""
-        self.metrics.counter("fleet_reroutes_total").increment()
-        try:
-            fallback = self.fleet.route(key,
-                                        exclude={lost.worker_id})
-        except ValidationError as exc:
-            self.metrics.counter("fleet_worker_lost_total").increment()
-            return 503, _error_body("worker_lost", f"{lost}; {exc}")
-        shed = self._shed_check(fallback)
-        if shed is not None:
-            return shed
-        counts = self._worker_inflight
-        counts[fallback] = counts.get(fallback, 0) + 1
-        try:
-            status, body = await self.fleet.link(fallback).call_raw(
-                kind, raw, timeout_s=self.call_timeout_s)
-        except WorkerGone as exc:
-            self.fleet.note_lost(exc.worker_id)
-            self.metrics.counter("fleet_worker_lost_total").increment()
-            return 503, _error_body(
-                "worker_lost",
-                f"{lost} and fallback failed: {exc}")
-        finally:
-            counts[fallback] -= 1
-        self._routed(fallback).increment()
-        return status, body
 
 
 def run_frontend(frontend: FleetFrontend, *, ready_callback=None,

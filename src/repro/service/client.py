@@ -11,42 +11,48 @@ service raises — so a caller can swap `PlannerService` for a remote
     for point in response["result"]["pareto"]:
         print(point["configuration"], point["cost_dollars"])
 
-Transient failures — refused/dropped connections, socket timeouts, and
-503 responses (admission-control saturation or a draining server) — are
-retried with capped exponential backoff and deterministic jitter, but
-only for idempotent requests (every built-in endpoint is a pure query).
-Definitive answers (2xx, 4xx, 504) are never retried.  When the retry
-budget runs out the client raises a typed
-:class:`~repro.errors.ServiceUnavailableError` recording how many
-attempts were made — transport errors are always wrapped, never
-re-raised raw.
+One retry policy covers every request.  Each attempt's outcome is
+classified exactly once:
 
-A fleet's 503 ``worker_lost`` envelope (the owning shard died
-mid-request) gets special treatment: one immediate idempotency-gated
-replay with no backoff — the dead worker has already left routing, so
-the replay lands on the re-routed shard — then a typed
-:class:`~repro.errors.WorkerLostError` if the replay fails too.
+* **success** (2xx) or a **definitive error** (4xx, 422, 504) — returned
+  or raised as-is, never retried;
+* **retryable** — refused/dropped connections, socket timeouts, 503s
+  (saturation, draining, a shed ``overloaded`` / 429
+  ``too_many_requests``), and malformed replies (a non-JSON body such as
+  a proxy's HTML 502, or a non-object ``error`` field).  Only idempotent
+  requests retry (every built-in endpoint is a pure query).  Each retry
+  costs one token from a bucket that earns ``retry_budget_ratio`` per
+  request, so a broad outage degrades to ~10% extra traffic instead of
+  ``max_attempts``-fold; the sleep before it is capped exponential
+  backoff with one deterministic jitter draw per attempt, floored by the
+  server's ``Retry-After`` hint (a hint counts only if finite and ≥ 0,
+  and is clamped to ``backoff_cap_s``);
+* a fleet's 503 ``worker_lost`` (the owning shard died mid-request) —
+  retryable once, immediately and free: the dead worker has already left
+  routing, so the replay lands on the re-routed shard.  A second loss
+  raises :class:`~repro.errors.WorkerLostError`.
 
-Three mechanisms keep a retrying client from amplifying a fleet-wide
-incident (see :mod:`repro.service.resilience`):
+When retries run out the client raises a typed
+:class:`~repro.errors.ServiceUnavailableError` recording the attempts
+made, with the last underlying error as ``__cause__`` — transport and
+decode errors are always wrapped, never re-raised raw.
 
-* shed responses (503 ``overloaded`` / 429 ``too_many_requests``)
-  carry a ``Retry-After`` hint, and the client honors it — the sleep
-  before the next attempt is at least the hint (with the same
-  deterministic jitter), never an immediate hammer;
-* a **retry budget** caps the ratio of retries to requests, so a broad
-  outage degrades to ~10% extra traffic instead of
-  ``max_attempts``-fold;
-* a **circuit breaker** opens after consecutive fully-failed request
-  cycles and fails fast (:class:`~repro.errors.CircuitOpenError`,
-  no network I/O) until a half-open probe proves the service back.
+A circuit breaker scores whole request cycles: after
+``breaker_failures`` consecutive failed cycles it opens and requests
+fail fast (:class:`~repro.errors.CircuitOpenError`, no network I/O) for
+``breaker_reset_s``; then one half-open probe goes out, and its outcome
+closes or re-opens the breaker.  Every request admitted past the breaker
+records exactly one outcome, whatever it raises, so a probe can never
+leave the breaker stuck half-open.  The breaker counters and the token
+bucket share one lock: the client is safe to use from thread pools.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
-import socket
+import math
+import threading
 import time
 
 from repro.errors import (
@@ -59,7 +65,6 @@ from repro.errors import (
     WorkerLostError,
 )
 from repro.service.planner import RequestTimeoutError, ServiceSaturatedError
-from repro.service.resilience import CircuitBreaker, RetryBudget
 from repro.utils.rng import derive_rng
 
 __all__ = ["PlannerClient"]
@@ -76,11 +81,16 @@ _ERROR_TYPES = {
     "too_many_requests": lambda msg: FleetOverloadedError(msg),
 }
 
-#: Connection-level failures that are safe to retry for idempotent
-#: requests: the server never started (refused), or the socket died in
-#: transit.  HTTP errors with definitive status codes are NOT here.
-_TRANSIENT_ERRORS = (ConnectionError, socket.timeout, TimeoutError,
-                     http.client.HTTPException, OSError)
+#: Retryable attempt outcomes: a typed 503 (the server asked us to back
+#: off), a refused or dropped connection (``OSError`` covers socket
+#: timeouts), or a reply that is not a well-formed envelope
+#: (``ValueError`` covers JSON and UTF-8 decode errors).  Definitive
+#: HTTP status codes are NOT here.
+_RETRYABLE = (ServiceSaturatedError, ServiceUnavailableError, OSError,
+              http.client.HTTPException, ValueError)
+
+#: Most retry tokens the budget bucket can hold.
+RETRY_BUDGET_CAP = 100.0
 
 
 class PlannerClient:
@@ -94,29 +104,44 @@ class PlannerClient:
     max_attempts:
         Total tries per request (1 = no retries).
     backoff_base_s / backoff_cap_s:
-        Exponential backoff schedule between attempts, capped.
+        Exponential backoff schedule between attempts, capped; the cap
+        also bounds a server's ``Retry-After`` hint.
     jitter_fraction:
         Deterministic ±jitter/2 spread on each backoff, derived from
         ``retry_seed`` so test runs reproduce their exact sleep pattern.
+    breaker_failures / breaker_reset_s:
+        Consecutive failed request cycles that open the circuit breaker
+        (0 disables it), and how long it stays open before a probe.
+    retry_budget_ratio / retry_budget_initial:
+        Retry tokens earned per request (0 disables the budget) and the
+        bucket's starting balance.
 
     Raises
     ------
     ValidationError
-        From the constructor when ``max_attempts < 1``; from any
-        endpoint when the server rejects the request as invalid (400).
+        From the constructor when ``max_attempts < 1``, the breaker is
+        enabled with ``breaker_reset_s <= 0``, or the budget is enabled
+        with ``retry_budget_initial < 0``; from any endpoint when the
+        server rejects the request as invalid (400).
     InfeasibleError
         When the requested plan has no feasible configuration (422).
     ServiceSaturatedError / RequestTimeoutError
         Admission-control rejection (503) after retries run out, or a
         missed per-request deadline (504).
     ServiceUnavailableError
-        When the retry budget is exhausted on transient transport
-        failures or a draining server.
+        When retries (or the retry budget) are exhausted on transient
+        transport failures, malformed replies or a draining server.
     WorkerLostError
         When a fleet shard died mid-request and the single re-routed
         replay failed as well (idempotent requests only; non-idempotent
         ones surface it on the first failure).
+    CircuitOpenError
+        When the circuit breaker is open: the request was not sent.
     """
+
+    CLOSED = "closed"
+    OPEN = "open"
+    HALF_OPEN = "half-open"
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8337,
                  *, timeout_s: float = 60.0, max_attempts: int = 4,
@@ -129,6 +154,10 @@ class PlannerClient:
                  clock=time.monotonic):
         if max_attempts < 1:
             raise ValidationError("max_attempts must be >= 1")
+        if breaker_failures > 0 and breaker_reset_s <= 0:
+            raise ValidationError("breaker_reset_s must be positive")
+        if retry_budget_ratio > 0 and retry_budget_initial < 0:
+            raise ValidationError("retry_budget_initial must be >= 0")
         self.host = host
         self.port = port
         self.timeout_s = timeout_s
@@ -137,122 +166,149 @@ class PlannerClient:
         self.backoff_cap_s = backoff_cap_s
         self.jitter_fraction = jitter_fraction
         self.retry_seed = retry_seed
+        self.breaker_failures = breaker_failures
+        self.breaker_reset_s = breaker_reset_s
+        self.retry_budget_ratio = retry_budget_ratio
         self._sleep = sleep
-        #: Circuit breaker over whole request cycles (0 disables).
-        self.breaker = CircuitBreaker(
-            failure_threshold=breaker_failures,
-            reset_timeout_s=breaker_reset_s,
-            clock=clock) if breaker_failures > 0 else None
-        #: Retry budget shared by every request this client makes
-        #: (ratio <= 0 disables).
-        self.retry_budget = RetryBudget(
-            ratio=retry_budget_ratio,
-            initial=retry_budget_initial) if retry_budget_ratio > 0 else None
+        self._clock = clock
+        # Breaker state and token bucket, guarded by one lock.
+        self._lock = threading.Lock()
+        self._state = self.CLOSED
+        self._failures = 0
+        self._opened_at = 0.0
+        self._tokens = min(float(retry_budget_initial), RETRY_BUDGET_CAP)
 
-    # -- transport -------------------------------------------------------------
+    @property
+    def breaker_state(self) -> str | None:
+        """``closed``, ``open`` or ``half-open``; None when disabled."""
+        return self._state if self.breaker_failures > 0 else None
 
-    def _backoff_s(self, attempt: int) -> float:
-        """Capped exponential backoff with deterministic jitter."""
-        base = min(self.backoff_base_s * (2.0 ** (attempt - 1)),
-                   self.backoff_cap_s)
-        rng = derive_rng(self.retry_seed, "client-backoff", attempt)
-        jitter = 1.0 + self.jitter_fraction * (float(rng.uniform()) - 0.5)
-        return base * jitter
+    @property
+    def retry_tokens(self) -> float | None:
+        """Retry tokens in the budget bucket; None when disabled."""
+        return self._tokens if self.retry_budget_ratio > 0 else None
 
-    def _retry_delay_s(self, attempt: int, last_error) -> float:
-        """Backoff for ``attempt``, honoring a server ``Retry-After``.
+    # -- retry policy ----------------------------------------------------------
 
-        A shed response's hint is a floor, not a replacement: the sleep
-        is the larger of the exponential backoff and the (jittered)
-        hint, so clients neither hammer a shedding fleet immediately
-        nor synchronize their retries on the exact hint boundary.
+    def _backoff_s(self, attempt: int, last_error=None) -> float:
+        """Sleep before retry ``attempt``: capped exponential backoff,
+        floored by a valid server ``Retry-After`` hint, times one
+        deterministic jitter draw.
+
+        The hint is a floor, not a replacement, so clients neither
+        hammer a shedding fleet nor synchronize on the hint boundary.
+        It counts only if finite and >= 0, and is clamped to
+        ``backoff_cap_s`` so a hostile or broken hint cannot stall the
+        caller.
         """
-        base = self._backoff_s(attempt)
-        hinted = getattr(last_error, "retry_after_s", None)
-        if not hinted:
-            return base
-        rng = derive_rng(self.retry_seed, "client-retry-after", attempt)
-        jitter = 1.0 + self.jitter_fraction * (float(rng.uniform()) - 0.5)
-        return max(base, float(hinted) * jitter)
+        delay = min(self.backoff_base_s * (2.0 ** (attempt - 1)),
+                    self.backoff_cap_s)
+        hint = getattr(last_error, "retry_after_s", None)
+        if hint is not None and math.isfinite(hint) and hint >= 0:
+            delay = max(delay, min(hint, self.backoff_cap_s))
+        rng = derive_rng(self.retry_seed, "client-backoff", attempt)
+        return delay * (1.0 + self.jitter_fraction
+                        * (float(rng.uniform()) - 0.5))
+
+    def _admit(self, method: str, path: str) -> None:
+        """Pass the breaker (or raise) and earn the request's tokens."""
+        with self._lock:
+            if self._state != self.CLOSED:  # never leaves it if disabled
+                remaining = 0.0
+                if self._state == self.OPEN:
+                    remaining = max(0.0, self.breaker_reset_s
+                                    - (self._clock() - self._opened_at))
+                if remaining > 0.0 or self._state == self.HALF_OPEN:
+                    raise CircuitOpenError(
+                        f"{method} {path} not sent: circuit open for "
+                        f"another {remaining:.3f}s", retry_after_s=remaining)
+                self._state = self.HALF_OPEN  # this request is the probe
+            if self.retry_budget_ratio > 0:
+                self._tokens = min(RETRY_BUDGET_CAP,
+                                   self._tokens + self.retry_budget_ratio)
+
+    def _spend(self) -> bool:
+        """Take one retry token; False means the budget is dry."""
+        if self.retry_budget_ratio <= 0:
+            return True
+        with self._lock:
+            if self._tokens < 1.0:
+                return False
+            self._tokens -= 1.0
+            return True
+
+    def _record(self, alive: bool) -> None:
+        """Score one request cycle on the breaker."""
+        if self.breaker_failures <= 0:
+            return
+        with self._lock:
+            if alive:
+                self._failures = 0
+                self._state = self.CLOSED
+            elif self._state == self.HALF_OPEN:
+                # The probe failed; back to open for a fresh timeout.
+                self._state = self.OPEN
+                self._opened_at = self._clock()
+            else:
+                self._failures += 1
+                if self._failures >= self.breaker_failures:
+                    self._state = self.OPEN
+                    self._opened_at = self._clock()
 
     def _request(self, method: str, path: str, body: dict | None = None,
                  *, idempotent: bool = True) -> dict:
-        """One HTTP exchange, with bounded retries of transient failures.
+        """One HTTP exchange under the retry policy.
 
         Non-idempotent requests are attempted exactly once — a dropped
         connection leaves the outcome unknown, and replaying it could
-        apply the effect twice.  4xx/422/504 responses are definitive
-        and never retried regardless.
+        apply the effect twice.
 
-        The circuit breaker scores whole request cycles, not attempts:
-        only a cycle that exhausts its retries counts as a failure, and
-        any response from the service — including definitive errors —
-        counts as a success.  The retry budget is spent per retry (the
-        ``worker_lost`` replay excepted: the fleet has already rerouted,
-        so the replay is the cheap path, not amplification).
+        The breaker scores the whole cycle, once, on every exit: any
+        answer from the service — including a definitive error — counts
+        as alive; exhausted retries, a lost worker, or any exception the
+        policy does not classify count as a failure.
         """
-        if self.breaker is not None and not self.breaker.allow():
-            raise CircuitOpenError(
-                f"{method} {path} not sent: circuit open for another "
-                f"{self.breaker.remaining_s():.3f}s",
-                retry_after_s=self.breaker.remaining_s())
-        if self.retry_budget is not None:
-            self.retry_budget.deposit()
+        self._admit(method, path)
         attempts = self.max_attempts if idempotent else 1
-        worker_lost_retry = idempotent  # one dedicated replay, ever
+        replay = idempotent  # the one free worker_lost replay
+        alive = False
         last_error: Exception | None = None
         budget_dry = False
-        attempt = 0
+        retries = 0
         total = 0
-        while True:
-            total += 1
-            try:
-                result = self._request_once(method, path, body)
-            except WorkerLostError as exc:
-                # A fleet shard died holding the request.  The front end
-                # has already dropped it from routing, so an immediate
-                # replay lands on the re-routed shard — but only once,
-                # and only for idempotent requests.
-                if worker_lost_retry:
-                    worker_lost_retry = False
-                    continue
-                self._record_failure()
-                raise WorkerLostError(str(exc), attempts=total) from exc
-            except (ServiceSaturatedError, ServiceUnavailableError) as exc:
-                last_error = exc  # 503: the server asked us to back off
-            except _TRANSIENT_ERRORS as exc:
-                last_error = exc
-            except ReproError:
-                # Definitive typed answer (400/422/504): the service is
-                # alive and responding, so the breaker resets.
-                self._record_success()
-                raise
-            else:
-                self._record_success()
-                return result
-            attempt += 1
-            if attempt >= attempts:
-                break
-            if self.retry_budget is not None \
-                    and not self.retry_budget.spend():
-                budget_dry = True
-                break
-            self._sleep(self._retry_delay_s(attempt, last_error))
-        self._record_failure()
+        try:
+            while True:
+                total += 1
+                try:
+                    result = self._request_once(method, path, body)
+                except WorkerLostError as exc:
+                    if replay:
+                        replay = False
+                        continue
+                    raise WorkerLostError(str(exc), attempts=total) from exc
+                except _RETRYABLE as exc:
+                    last_error = exc
+                except ReproError:
+                    alive = True  # a definitive answer: the service is up
+                    raise
+                else:
+                    alive = True
+                    return result
+                retries += 1
+                if retries >= attempts:
+                    break
+                if not self._spend():
+                    budget_dry = True
+                    break
+                self._sleep(self._backoff_s(retries, last_error))
+        finally:
+            self._record(alive)
         if attempts == 1 and isinstance(last_error, ReproError):
-            raise last_error  # no retry budget: surface the typed original
+            raise last_error  # no retries: surface the typed original
         suffix = " (retry budget exhausted)" if budget_dry else ""
         raise ServiceUnavailableError(
             f"{method} {path} failed after {total} attempt(s){suffix}: "
             f"{last_error}", attempts=total) from last_error
-
-    def _record_success(self) -> None:
-        if self.breaker is not None:
-            self.breaker.record_success()
-
-    def _record_failure(self) -> None:
-        if self.breaker is not None:
-            self.breaker.record_failure()
 
     def _request_once(self, method: str, path: str,
                       body: dict | None = None) -> dict:
@@ -271,13 +327,16 @@ class PlannerClient:
         if response.status == 200:
             return decoded
         error = decoded.get("error", {}) if isinstance(decoded, dict) else {}
-        code = error.get("code", "error")
+        code = error.get("code", "error") if isinstance(error, dict) else None
+        if not isinstance(code, str):
+            raise ValueError(f"HTTP {response.status}: malformed error "
+                             f"envelope {error!r:.200}")
         message = error.get("message", f"HTTP {response.status}")
         exc = _ERROR_TYPES.get(code, ReproError)(message)
         if retry_after is not None:
             try:
                 exc.retry_after_s = float(retry_after)
-            except (TypeError, ValueError):
+            except ValueError:
                 pass  # unparsable hint; exponential backoff still applies
         raise exc
 

@@ -31,6 +31,7 @@ from repro.fleet.chaos import (
 )
 from repro.fleet.frontend import FleetFrontend
 from repro.fleet.health import FleetTimeline
+from repro.fleet.rpc import WorkerGone
 from repro.service.planner import PlannerService, ServiceConfig
 
 
@@ -168,6 +169,25 @@ class FakeFleet:
         return {"workers": []}
 
 
+class DeadLink(FakeLink):
+    """A link whose worker drops every request it is handed."""
+
+    async def call_raw(self, kind, payload=b"", *, timeout_s=None):
+        self.calls.append((kind, payload))
+        raise WorkerGone(self.worker_id, "dead")
+
+
+class DeadFirstFleet(FakeFleet):
+    """Two workers; every key's first owner is w1, whose link drops."""
+
+    def __init__(self):
+        super().__init__()
+        self.links["w1"] = DeadLink("w1")
+
+    def route(self, key, *, exclude=frozenset()):
+        return "w0" if "w1" in exclude else "w1"
+
+
 SELECT_RAW = json.dumps({"app": "galaxy", "n": 1024, "a": 100,
                          "deadline_hours": 4,
                          "budget_dollars": 10}).encode()
@@ -232,23 +252,45 @@ class TestFrontendShedding:
 
     def test_fallback_owner_is_also_capped(self):
         async def run():
-            fleet = FakeFleet()
+            fleet = DeadFirstFleet()
             frontend = FleetFrontend(fleet, max_inflight=1)
-            # Occupy w0's slot, then reroute to it: still shed.
+            # Every request's first owner (w1) drops; the reroute to w0
+            # holds w0's only slot, so the next reroute is shed.
             gate = asyncio.Event()
             fleet.links["w0"].gate = gate
             holder = asyncio.ensure_future(
                 frontend._handle_request("POST", "/v1/select",
                                          SELECT_RAW))
             await asyncio.sleep(0)
-            from repro.fleet.rpc import WorkerGone
-            status, body = await frontend._reroute(
-                "k", "select", SELECT_RAW,
-                lost=WorkerGone("w9", "dead"))
+            status, body = await frontend._handle_request(
+                "POST", "/v1/select", SELECT_RAW)
             assert status == 503
             assert body["error"]["code"] == "overloaded"
             gate.set()
-            await holder
+            status, _ = await holder
+            assert status == 200
+            assert fleet.lost == ["w1", "w1"]
+            counters = frontend.metrics.snapshot()["counters"]
+            assert counters["fleet_reroutes_total"] == 2
+            assert counters["fleet_shed_total"] == 1
+            assert "fleet_worker_lost_total" not in counters
+
+        asyncio.run(run())
+
+    def test_fallback_loss_is_a_typed_worker_lost(self):
+        async def run():
+            fleet = DeadFirstFleet()
+            fleet.links["w0"] = DeadLink("w0")
+            frontend = FleetFrontend(fleet)
+            status, body = await frontend._handle_request(
+                "POST", "/v1/select", SELECT_RAW)
+            assert status == 503
+            assert body["error"]["code"] == "worker_lost"
+            assert "fallback failed" in body["error"]["message"]
+            assert fleet.lost == ["w1", "w0"]
+            counters = frontend.metrics.snapshot()["counters"]
+            assert counters["fleet_reroutes_total"] == 1
+            assert counters["fleet_worker_lost_total"] == 1
 
         asyncio.run(run())
 
