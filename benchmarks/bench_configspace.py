@@ -3,8 +3,14 @@
 Times, per space size (Table III catalog at quotas 2, 3 and 5 —
 19,682 / 262,143 / 10,077,695 configurations):
 
-* the full-space fused sweep, serial vs process-parallel
-  (:meth:`ConfigurationSpace.evaluate` with ``workers``);
+* the full-space sweep, serial (one broadcast outer sum per type) vs
+  process-parallel (:meth:`ConfigurationSpace.evaluate` with
+  ``workers``);
+* the structured Algorithm-1 path that needs no sweep at all
+  (:class:`StructuredIndex`): its build (frontier plus feasible-count
+  tables, ``structured_build_s``) and its per-query select, asserted
+  equal — frontier rows and every ``SelectionResult`` — to the swept
+  :class:`FrontierIndex` and the streamed scan;
 * Algorithm-1 selection, streamed vs the demand-invariant
   :class:`FrontierIndex` fast path (build cost amortized over queries),
   with the index built cold from the value arrays
@@ -40,7 +46,11 @@ import numpy as np
 from repro.cache import EvaluationCache
 from repro.cloud.catalog import ec2_catalog
 from repro.core.configspace import ConfigurationSpace
-from repro.core.selection import FrontierIndex, select_configurations
+from repro.core.selection import (
+    FrontierIndex,
+    StructuredIndex,
+    select_configurations,
+)
 from repro.parallel import available_workers
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -108,7 +118,25 @@ def bench_select(evaluation):
         assert a.feasible_count == b.feasible_count, "paths disagree"
         assert [p.configuration for p in a.pareto] == \
             [p.configuration for p in b.pareto]
-    return (t_streamed, t_build, t_fused, t_feasibility, t_indexed, index)
+    return (t_streamed, t_build, t_fused, t_feasibility, t_indexed, index,
+            demands, indexed)
+
+
+def bench_structured(space, index, demands, indexed):
+    """Build the structured index from the capacities alone and check it
+    against the swept index: same frontier rows, same answers."""
+    deadline, budget = 24.0, 350.0
+    t0 = time.perf_counter()
+    structured = StructuredIndex(space, CAPACITIES)
+    structured.ensure_feasibility()
+    t_build = time.perf_counter() - t0
+    assert structured.frontier_rows.tobytes() == \
+        index.frontier_rows.tobytes(), "structured frontier differs"
+    t0 = time.perf_counter()
+    answers = [structured.select(float(d), deadline, budget) for d in demands]
+    t_query = (time.perf_counter() - t0) / N_QUERIES
+    assert answers == indexed, "structured answers differ from the index"
+    return t_build, t_query
 
 
 def bench_snapshot(space, evaluation, index):
@@ -145,7 +173,9 @@ def main() -> None:
         print(f"quota {quota}: {space.size:,} configurations")
         evaluation, t_serial, t_parallel = bench_evaluate(space, workers)
         (t_streamed, t_build, t_fused, t_feasibility, t_indexed,
-         index) = bench_select(evaluation)
+         index, demands, indexed) = bench_select(evaluation)
+        t_structured, t_structured_query = bench_structured(
+            space, index, demands, indexed)
         t_save, t_load, t_warm = bench_snapshot(space, evaluation, index)
         frontier = index.frontier_size
         entry = {
@@ -167,6 +197,8 @@ def main() -> None:
             "warm_start_s": round(t_warm, 4),
             "select_indexed_s_per_query": round(t_indexed, 6),
             "select_speedup_per_query": round(t_streamed / t_indexed, 1),
+            "structured_build_s": round(t_structured, 4),
+            "select_structured_s_per_query": round(t_structured_query, 6),
             "frontier_size": frontier,
         }
         report["spaces"].append(entry)
@@ -183,6 +215,8 @@ def main() -> None:
               f"indexed {t_indexed * 1e3:.3f} ms/query "
               f"({t_streamed / t_indexed:.0f}x after a {t_build:.2f}s build, "
               f"frontier {frontier})")
+        print(f"  structured: build {t_structured * 1e3:.1f} ms (no sweep), "
+              f"select {t_structured_query * 1e3:.3f} ms/query")
     args.output.write_text(json.dumps(report, indent=2) + "\n",
                            encoding="utf-8")
     print(f"wrote {args.output}")

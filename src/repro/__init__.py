@@ -35,6 +35,7 @@ from repro.core import (
     MinTimeIndex,
     Prediction,
     SelectionResult,
+    StructuredIndex,
     characterize_resources,
     deadline_tightening_study,
     fixed_time_scaling,
@@ -74,6 +75,7 @@ __all__ = [
     "ConfigurationSpace",
     "EvaluationCache",
     "FrontierIndex",
+    "StructuredIndex",
     "SelectionResult",
     "select_configurations",
     "MinCostIndex",

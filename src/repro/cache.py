@@ -62,7 +62,11 @@ __all__ = [
 
 CACHE_DIR_ENV = "CELIA_CACHE_DIR"
 
-_FORMAT_VERSION = 1
+#: Bumped whenever the cached values would change.  Version 2: the
+#: sweep reduces Eq. 3 / Eq. 6 in the canonical position-independent
+#: arithmetic, so version-1 (BLAS-rounded) arrays, snapshots and
+#: checkpoint shards are misses.
+_FORMAT_VERSION = 2
 
 _NP_LOAD_LOCK = threading.Lock()
 
@@ -354,7 +358,9 @@ class EvaluationCache:
     Arguments:
         cache_dir: Directory holding the ``.npy`` / ``.meta.json``
             artefacts.  ``None`` resolves via ``$CELIA_CACHE_DIR``, then
-            ``~/.cache/celia``.  Created lazily on the first ``store``.
+            ``~/.cache/celia``.  Created when the cache is opened, so it
+            exists even while nothing has been stored (selections write
+            nothing).
 
     The cache never raises on corrupt or missing entries — every
     inconsistency is a miss and the caller re-sweeps.  ``store`` may
@@ -364,6 +370,10 @@ class EvaluationCache:
     def __init__(self, cache_dir: str | Path | None = None):
         self.cache_dir = (Path(cache_dir).expanduser()
                           if cache_dir is not None else default_cache_dir())
+        try:
+            self.cache_dir.mkdir(parents=True, exist_ok=True)
+        except OSError:
+            pass  # an unwritable directory surfaces on the first store
         self.hits = 0
         self.misses = 0
 

@@ -29,6 +29,7 @@ from repro.core.selection import (
     FrontierIndex,
     ParetoPoint,
     SelectionResult,
+    StructuredIndex,
     select_configurations,
     select_configurations_batch,
 )
@@ -62,6 +63,7 @@ __all__ = [
     "ConfigurationSpace",
     "SpaceEvaluation",
     "FrontierIndex",
+    "StructuredIndex",
     "ParetoPoint",
     "SelectionResult",
     "select_configurations",

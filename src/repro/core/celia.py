@@ -4,10 +4,15 @@ Given a catalog and a measurement harness, :class:`Celia`:
 
 1. characterizes an application's demand (local perf runs + fitting) and
    the cloud's capacities (timed baselines) — cached per application;
-2. evaluates the full configuration space once per application (``U_j``,
-   ``C_{j,u}`` for all S configurations) — also cached;
-3. answers predictions (Eq. 2/5), Algorithm-1 selections, and optimal
-   configuration queries.
+2. answers Algorithm-1 selections from the sum structure of Eq. 3 /
+   Eq. 6 (:class:`~repro.core.selection.StructuredIndex`: a pruned
+   per-type frontier and a meet-in-the-middle feasible count, built in
+   milliseconds with no pass over the space) and predictions (Eq. 2/5)
+   in the same canonical arithmetic;
+3. evaluates the full configuration space (``U_j``, ``C_{j,u}`` for all
+   S configurations) only for what needs every row — the exhaustive
+   streamed scan, the optimal-configuration indexes and the Figure-4
+   scatter — cached in memory and on disk.
 
 Everything downstream of the cached artefacts is deterministic pure
 math, so one ``Celia`` instance can drive all figures of the evaluation.
@@ -29,13 +34,19 @@ from repro.core.characterization import (
 )
 from repro.core.configspace import ConfigurationSpace, SpaceEvaluation
 from repro.core.optimizer import MinCostIndex, MinTimeIndex, OptimizerAnswer
-from repro.core.selection import SelectionResult, select_configurations
+from repro.core.selection import (
+    SelectionResult,
+    StructuredIndex,
+    select_configurations,
+)
+from repro.core.sweepkernel import canonical_sums
 from repro.engine.runner import EngineConfig
 from repro.errors import ValidationError
 from repro.measurement.baseline import measure_demand_grid
 from repro.measurement.fitting import FittedDemand, fit_separable_demand
 from repro.measurement.perf import PerfCounter
 from repro.measurement.profiles import ApplicationProfile
+from repro.units import SECONDS_PER_HOUR
 
 __all__ = ["Prediction", "Celia"]
 
@@ -54,6 +65,13 @@ class Prediction:
 
 class Celia:
     """Measurement-driven cost-time optimizer for elastic applications.
+
+    Selections (:meth:`select`, :meth:`selection_index`) never sweep the
+    space: they run on a per-application
+    :class:`~repro.core.selection.StructuredIndex` and neither read nor
+    write index snapshots.  Only :meth:`evaluation` (and what is built on
+    it: ``method="streamed"``, :meth:`min_cost`, :meth:`min_time`)
+    sweeps, persisting the arrays in the evaluation cache.
 
     Parameters
     ----------
@@ -74,7 +92,7 @@ class Celia:
         ``~/.cache/celia``; a path overrides both; ``False`` disables
         persistence entirely (in-memory caching still applies).
     workers:
-        Parallelism of the space sweep, forwarded to
+        Parallelism of the space sweep (:meth:`evaluation` only), forwarded to
         :meth:`ConfigurationSpace.evaluate` — ``"auto"`` (default),
         ``None``/1 for serial, or an explicit process count.
     """
@@ -108,9 +126,10 @@ class Celia:
         self._evaluation_cache: dict[str, SpaceEvaluation] = {}
         self._min_cost_cache: dict[str, MinCostIndex] = {}
         self._min_time_cache: dict[str, MinTimeIndex] = {}
-        #: What the most recent :meth:`selection_index` call did —
-        #: whether the index came from a persisted snapshot, and how
-        #: long the snapshot load took (0.0 when it was a rebuild).
+        self._structured_cache: dict[tuple[str, tuple[int, ...]],
+                                     StructuredIndex] = {}
+        #: Kept for service metrics: the structured index is never read
+        #: from a snapshot, so these stay ``False`` / ``0.0``.
         self.last_index_from_snapshot = False
         self.last_index_load_s = 0.0
 
@@ -199,40 +218,23 @@ class Celia:
             self._evaluation_cache[app.name] = evaluation
         return self._evaluation_cache[app.name]
 
-    def selection_index(self, app: ElasticApplication):
-        """Demand-invariant frontier index for ``app`` (built once, cached).
+    def selection_index(self, app: ElasticApplication,
+                        *, excluded_types: "tuple[int, ...]" = ()
+                        ) -> StructuredIndex:
+        """Algorithm-1 index for ``app`` (built once per exclusion, cached).
 
-        After this, every :meth:`select` call without memory constraints
-        runs on the O(|frontier|) fast path.
-
-        With persistence enabled this is snapshot-backed: a valid index
-        snapshot on disk is memory-mapped in milliseconds (no pass over
-        the space, no sorts); otherwise the index is built — merging the
-        sweep's fused candidates when the evaluation carries them — and
-        persisted so every later process warm-starts.
-        ``last_index_from_snapshot`` / ``last_index_load_s`` report what
-        the most recent call did (for service metrics).
+        A :class:`~repro.core.selection.StructuredIndex` over the
+        measured capacity vector: no sweep, no evaluation and no
+        snapshot — the frontier is built here in milliseconds and the
+        feasible-count tables on the first query.  ``excluded_types``
+        pins those types' node counts to zero (the memory constraint).
         """
-        import time
-
-        evaluation = self.evaluation(app)
-        if evaluation.has_frontier_index():
-            return evaluation.frontier_index()
-        self.last_index_from_snapshot = False
-        self.last_index_load_s = 0.0
-        index = None
-        if self.evaluation_cache is not None:
-            capacities = self.capacities(app)
-            t0 = time.perf_counter()
-            index = self.evaluation_cache.load_index(evaluation, capacities)
-            if index is not None:
-                self.last_index_from_snapshot = True
-                self.last_index_load_s = time.perf_counter() - t0
-                object.__setattr__(evaluation, "_frontier_index", index)
+        key = (app.name, tuple(sorted({int(i) for i in excluded_types})))
+        index = self._structured_cache.get(key)
         if index is None:
-            index = evaluation.frontier_index()
-            if self.evaluation_cache is not None:
-                self.evaluation_cache.store_index(index, capacities)
+            index = StructuredIndex(self.space, self.capacities(app),
+                                    excluded_types=key[1])
+            self._structured_cache[key] = index
         return index
 
     def min_cost_index(self, app: ElasticApplication) -> MinCostIndex:
@@ -256,7 +258,14 @@ class Celia:
 
     def predict(self, app: ElasticApplication, n: float, a: float,
                 configuration: tuple[int, ...] | list[int]) -> Prediction:
-        """Eq. 2 and Eq. 5 for one run on one explicit configuration."""
+        """Eq. 2 and Eq. 5 for one run on one explicit configuration.
+
+        Computed exactly as Algorithm 1 computes a configuration — the
+        canonical Eq. 3 / Eq. 6 sums, time ``fl(fl(D/U)/3600)`` and cost
+        ``fl(fl(D·fl(C_u/U))/3600)`` — so the prediction equals the
+        :class:`~repro.core.selection.ParetoPoint` of the same
+        configuration bit for bit.
+        """
         vec = np.asarray(configuration, dtype=np.int64)
         if vec.shape != (len(self.catalog),):
             raise ValidationError(
@@ -265,17 +274,15 @@ class Celia:
         if vec.sum() == 0:
             raise ValidationError("configuration must contain at least one node")
         demand = self.demand_gi(app, n, a)
-        capacities = self.capacities(app)
-        capacity = float(vec @ capacities)
-        unit_cost = float(vec @ self.catalog.prices)
-        time_h = demand / capacity / 3600.0
+        capacity = float(canonical_sums(vec[None, :], self.capacities(app))[0])
+        unit_cost = float(canonical_sums(vec[None, :], self.catalog.prices)[0])
         return Prediction(
             configuration=tuple(int(v) for v in vec),
             demand_gi=demand,
             capacity_gips=capacity,
             unit_cost_per_hour=unit_cost,
-            time_hours=time_h,
-            cost_dollars=time_h * unit_cost,
+            time_hours=demand / capacity / SECONDS_PER_HOUR,
+            cost_dollars=demand * (unit_cost / capacity) / SECONDS_PER_HOUR,
         )
 
     def memory_infeasible_types(self, app: ElasticApplication,
@@ -313,9 +320,10 @@ class Celia:
             paper, which treats all applications as compute-bound
             (matching its evaluation; the default preserves that).
         method:
-            Execution strategy (see :func:`select_configurations`);
-            build the fast path up front with :meth:`selection_index`
-            when many selections are coming.
+            ``"auto"`` and ``"indexed"`` answer from the structured
+            index (:meth:`selection_index`); ``"streamed"`` runs the
+            exhaustive one-pass scan over :meth:`evaluation` — the
+            paper-faithful oracle.  All three give identical results.
 
         Returns
         -------
@@ -330,15 +338,21 @@ class Celia:
             range, or ``method`` is not one of ``auto`` / ``streamed`` /
             ``indexed``.
         """
+        if method not in ("auto", "streamed", "indexed"):
+            raise ValidationError(
+                f"method must be 'auto', 'streamed' or 'indexed', "
+                f"got {method!r}")
         demand = self.demand_gi(app, n, a)
-        exclude_mask = None
-        if enforce_memory:
-            bad_types = self.memory_infeasible_types(app, n, a)
-            if bad_types:
-                exclude_mask = self.space.mask_using_types(bad_types)
+        excluded = (tuple(self.memory_infeasible_types(app, n, a))
+                    if enforce_memory else ())
+        if method != "streamed":
+            return self.selection_index(app, excluded_types=excluded).select(
+                demand, deadline_hours, budget_dollars)
+        exclude_mask = (self.space.mask_using_types(excluded) if excluded
+                        else None)
         return select_configurations(
             self.evaluation(app), demand, deadline_hours, budget_dollars,
-            exclude_mask=exclude_mask, method=method,
+            exclude_mask=exclude_mask, method="streamed",
         )
 
     def min_cost(self, app: ElasticApplication, n: float, a: float,

@@ -5,10 +5,12 @@ m_i,max`` and not all zero; the space has ``S = Π (m_i,max + 1) − 1``
 members (Eq. 1) — 10,077,695 for the paper's catalog.  Configurations are
 identified with *linear indices* in ``[1, S]`` under a mixed-radix code
 (first catalog type most significant), so the space never needs to exist
-as Python objects: chunks of the index range are decoded into small
-integer matrices and reduced to capacity/unit-cost vectors with one
-matmul each, following the HPC-guide idiom of keeping the hot path free
-of per-item Python work.
+as Python objects: the serial sweep builds the capacity/unit-cost
+vectors as one broadcast outer sum per type, and index spans (parallel
+workers, checkpoint resume) are decoded into small integer matrices and
+reduced in the same canonical arithmetic
+(:mod:`repro.core.sweepkernel`), keeping the hot path free of per-item
+Python work.
 """
 
 from __future__ import annotations
@@ -135,18 +137,19 @@ class ConfigurationSpace:
                  collect_candidates: bool = True) -> "SpaceEvaluation":
         """Reduce the whole space to capacity and unit-cost vectors.
 
-        Decodes chunk by chunk so peak memory is one chunk's work
-        buffers plus the two S-length float64 outputs; all chunk buffers
-        are preallocated once per sweep (see
-        :class:`repro.core.sweepkernel.ChunkKernel`).
+        The serial sweep is a broadcast outer sum per type in radix
+        order (:func:`repro.core.sweepkernel.outer_sums`): no decode,
+        and peak memory is the two S-length float64 outputs plus one
+        sixth of one of them.  Every strategy computes each row in the
+        canonical arithmetic, so the arrays are bit-identical whatever
+        ``chunk_size``, ``workers`` or checkpoint resume point is used.
 
         ``workers`` selects the execution strategy: ``None`` (or 1) runs
         the serial loop, an integer fans the sweep out over that many
         supervised processes via :mod:`repro.parallel`, and ``"auto"``
         stays serial below :data:`repro.parallel.AUTO_WORKERS_THRESHOLD`
         configurations and uses one worker per available CPU above it.
-        All strategies produce bit-identical arrays (worker spans are
-        aligned to the serial chunk grid).
+        All strategies produce bit-identical arrays.
 
         ``checkpoint`` (a :class:`repro.cache.SweepCheckpoint`) makes a
         supervised sweep flush completed spans to disk and resume from
@@ -154,16 +157,18 @@ class ConfigurationSpace:
         holding shards forces the supervised path even for ``workers=1``,
         so a resumed sweep never re-evaluates completed spans.
 
-        ``collect_candidates`` (default on) fuses frontier discovery
-        into the sweep: each chunk's local Pareto candidates over
-        ``(−capacity, cost_ratio)`` are harvested as it is evaluated and
-        attached to the returned evaluation, so a later
+        ``collect_candidates`` (default on) attaches each chunk's local
+        Pareto candidates over ``(−capacity, cost_ratio)`` to the
+        returned evaluation (harvested inside the workers of a
+        supervised sweep), so a later
         :meth:`SpaceEvaluation.frontier_index` build is a merge over a
         few hundred rows instead of a second full pass over the space.
         The candidate harvest never changes the evaluation arrays.
         """
         from repro.obs.trace import get_tracer
 
+        if chunk_size < 1:
+            raise ConfigurationError("chunk size must be >= 1")
         n_workers = 1
         if workers is not None:
             from repro.parallel import resolve_workers
@@ -186,33 +191,25 @@ class ConfigurationSpace:
                                    stats.frontier_candidates)
             return evaluation
         from repro.core.capacity import capacity_per_type
-        from repro.core.sweepkernel import ChunkKernel
+        from repro.core.sweepkernel import (
+            frontier_candidates_from_values,
+            outer_sums,
+        )
 
         span_name = "sweep.fused" if collect_candidates else "sweep.serial"
         with get_tracer().span(span_name,
                                {"size": self.size,
                                 "chunk_size": chunk_size}) as span:
             w = capacity_per_type(capacities_gips)
-            total = self.size
-            capacity = np.empty(total, dtype=np.float64)
-            unit_cost = np.empty(total, dtype=np.float64)
-            kernel = ChunkKernel(self.strides, self.radices, w,
-                                 self.catalog.prices,
-                                 max_chunk=min(chunk_size, total))
-            candidates: list[np.ndarray] = []
-            for start in range(1, total + 1, chunk_size):
-                stop = min(start + chunk_size, total + 1)
-                cap_slice = capacity[start - 1:stop - 1]
-                cost_slice = unit_cost[start - 1:stop - 1]
-                kernel.evaluate_into(start, stop, cap_slice, cost_slice)
-                if collect_candidates:
-                    candidates.append(kernel.frontier_candidates(
-                        start, cap_slice, cost_slice))
+            # Element 0 of each broadcast sum is the empty configuration,
+            # so the views from 1 on are rows 0..S-1.
+            capacity = outer_sums(w, self.radices)[1:]
+            unit_cost = outer_sums(self.catalog.prices, self.radices)[1:]
             evaluation = SpaceEvaluation(space=self, capacity_gips=capacity,
                                          unit_cost_per_hour=unit_cost)
             if collect_candidates:
-                rows = (np.concatenate(candidates) if candidates
-                        else np.empty(0, dtype=np.int64))
+                rows = frontier_candidates_from_values(
+                    capacity, unit_cost, chunk_size=chunk_size)
                 span.set_attribute("candidates", int(rows.size))
                 object.__setattr__(evaluation, "_frontier_candidates", rows)
             return evaluation

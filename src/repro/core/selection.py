@@ -2,48 +2,115 @@
 
 Enumerate every configuration, predict its time and cost, keep those with
 ``T < T'`` and ``C < C'``, and pass the survivors through the
-Pareto-optimal filter.  Because the whole space is explored, *all*
-optimal configurations are found (the paper's exhaustiveness guarantee).
+Pareto-optimal filter.  *All* optimal configurations are found (the
+paper's exhaustiveness guarantee) — by an exhaustive scan, or by an
+exact argument that rules whole groups of configurations in or out.
 
-Two execution strategies produce identical results:
+Three execution strategies produce identical results:
 
-* **streamed** — one pass over the space in chunks: each chunk
-  contributes its feasible count and its local Pareto candidates; the
-  candidates are merged and re-filtered at the end (the Pareto set of a
-  union is a subset of the union of per-chunk Pareto sets, so this is
-  exact).  Needed whenever an ``exclude_mask`` carves arbitrary holes in
-  the space.
-* **indexed** — the demand-invariance fast path.  Predicted time
-  ``D/U/3600`` and cost ``D·(C_u/U)/3600`` both scale linearly in the
-  demand ``D``, so the Pareto-optimal *set of rows* is the same for every
-  demand: it is the nondominated set over the demand-free pair
-  ``(1/U, C_u/U)``.  :class:`FrontierIndex` precomputes that set once per
-  :class:`SpaceEvaluation`; afterwards each query filters the (tiny)
-  precomputed frontier by the constraints and counts feasibility with
-  binary searches over a capacity-sorted block structure — O(|frontier| +
-  √S·log S) instead of O(S).
+* **streamed** — one pass over a :class:`SpaceEvaluation` in chunks:
+  each chunk contributes its feasible count and its local Pareto
+  candidates; the candidates are merged and re-filtered at the end (the
+  Pareto set of a union is a subset of the union of per-chunk Pareto
+  sets, so this is exact).  The paper-faithful oracle, and the only
+  strategy that honours an arbitrary ``exclude_mask``.
+* **indexed** — the demand-invariance fast path over an evaluation.
+  Predicted time ``D/U/3600`` and cost ``D·(C_u/U)/3600`` both scale
+  linearly in the demand ``D``, so the Pareto-optimal *set of rows* is
+  the same for every demand: it is the nondominated set over the
+  demand-free pair ``(1/U, C_u/U)``.  :class:`FrontierIndex` precomputes
+  that set once per evaluation; afterwards each query filters the
+  (tiny) frontier by the constraints and counts feasibility with binary
+  searches over a capacity-sorted block structure.
+* **structured** — :class:`StructuredIndex`, the answer path of
+  :class:`~repro.core.celia.Celia` and the planning service.  It needs
+  no evaluation at all: ``U = m·W`` (Eq. 3) and ``P = m·p`` (Eq. 6) are
+  sums over instance types, so the frontier comes from a pruned
+  per-type Minkowski sum and the feasible count from a meet in the
+  middle over two halves of the catalog.
 
-Exactness across the two paths is bit-level, not just mathematical.
-Both compute times as ``fl(fl(D/U)/3600)`` and costs as
-``fl(fl(D·r)/3600)`` with ``r = fl(C_u/U)`` — the factored cost form
-makes cost exactly monotone in ``r`` and time exactly monotone in ``U``
-under IEEE rounding, so feasibility is exactly a capacity suffix
-intersected with a ratio prefix.  The Pareto filter runs on the exact
-pair ``(−U, r)`` in both paths (order-isomorphic to ``(T, C)`` for every
-demand in real arithmetic, and immune to rounding collisions), so the
-surviving rows coincide row-for-row.
+Exactness across the paths is bit-level, not just mathematical.  Every
+``U`` and ``P`` is the canonical left-to-right sum of
+:mod:`repro.core.sweepkernel` (``acc = fl(acc + fl(m_i·W_i))``), a
+function of the configuration alone.  All paths compute times as
+``fl(fl(D/U)/3600)`` and costs as ``fl(fl(D·r)/3600)`` with
+``r = fl(C_u/U)`` — the factored cost form makes cost exactly monotone
+in ``r`` and time exactly monotone in ``U`` under IEEE rounding, so
+feasibility is exactly ``U ≥ u_cut`` and ``r < r_cut`` for two
+per-query doubles found by bisection over bit patterns.  The Pareto
+filter runs on the exact pair ``(−U, r)`` (order-isomorphic to
+``(T, C)`` for every demand in real arithmetic, and immune to rounding
+collisions), so the surviving rows coincide row-for-row.
+
+Why the structured path is exact
+--------------------------------
+Write ``M`` for the number of catalog types, ``U*``/``P*`` for the
+largest sums (those of the configuration with every quota full: the
+canonical sum is monotone in each node count) and ``ε = 2⁻⁵²``.  One
+canonical addition rounds by at most ``ε·U*/2``, so a sum continued
+from a partial value over the remaining types differs from the partial
+plus the exact sum of the remaining terms by at most ``M·ε·U*/2`` — and
+the terms ``fl(m·W_i)`` themselves are identical for any two sums that
+share the remaining node counts.  The slack is ``δ_U = M·2⁻⁴⁴·U*``
+(``δ_P`` alike), 256 times the per-type bound, so it also absorbs the
+roundings of computing the thresholds themselves.
+
+*Frontier.*  After each type the partial sums (every digit combination
+of the types so far) are pruned: a partial ``a`` is dropped when some
+partial ``b`` has ``U_b ≥ U_a + δ_U`` and ``P_b ≤ P_a − δ_P``.  Extend
+both by the same remaining node counts: ``b``'s sum ends with strictly
+greater ``U`` and strictly smaller ``P``, so ``r_b ≤ r_a`` after the
+(monotone) rounded division — ``b`` strictly dominates ``a`` over
+``(−U, r)``, and no completion of ``a`` is on the frontier.  (``b``'s
+completion is never the empty configuration: ``U_b ≥ δ_U > 0``.)  The
+survivors are therefore a superset of the frontier, their values are
+exactly the canonical sums (each step is ``fl(partial + term)``), and
+the exact ``pareto_mask_2d`` over them returns the frontier itself —
+the Pareto set of any superset of the frontier is the frontier.  At
+the paper's quota 5 no intermediate set exceeds a few hundred rows.
+
+*Count.*  The first ``k`` types form the left half ``L`` and the rest
+the right half ``R`` (1,296 × 7,776 half-sums for the paper's catalog).
+A configuration is a pair ``(l, r)``; its canonical ``U`` continues
+``U_l`` over ``r``'s types, so ``|U − (U_l + U_r)| ≤ M·ε·U*`` and the
+same for ``P``.  With ``V = P − r_cut·U`` and the slack
+``δ_V = M·2⁻⁴⁴·(P* + r_cut·U*)``:
+
+* ``U_l + U_r ≥ u_cut + δ_U`` makes the pair certainly time-feasible,
+  ``U_l + U_r < u_cut − δ_U`` certainly not;
+* ``V_l + V_r < −δ_V`` gives ``P/U < r_cut·(1 − 2⁻⁵¹)``, below the
+  double before ``r_cut``, so ``fl(P/U) < r_cut`` — certainly
+  cost-feasible; ``V_l + V_r ≥ δ_V`` gives ``P/U > r_cut`` — certainly
+  not.
+
+The certain pairs are a 2-D dominance count — ``R`` sorted by ``U``
+once, ``V`` sorted inside blocks per query, one vectorized
+``searchsorted`` per block.  Every pair in the band between the two
+bounds of either test is summed in full and checked with the exact
+predicates ``fl(fl(D/U)/3600) < T'`` and ``fl(fl(D·r)/3600) < C'``.
+The band is empty for almost every query; a band of more than
+``_BAND_LIMIT`` pairs falls back to the exhaustive count.  A cutoff
+beyond the space (``u_cut > U*``, ``r_cut = 0``, or ``r_cut`` above the
+largest per-type ratio, which bounds every sum's ratio) is decided
+without the tables.
 """
 
 from __future__ import annotations
 
 import struct
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.configspace import DEFAULT_CHUNK, ConfigurationSpace, SpaceEvaluation
-from repro.core.sweepkernel import frontier_candidates_from_values, local_frontier
+from repro.core.sweepkernel import (
+    canonical_sums,
+    frontier_candidates_from_values,
+    local_frontier,
+    outer_sums,
+)
 from repro.errors import ValidationError
 from repro.pareto.frontier import pareto_mask_2d
 from repro.units import SECONDS_PER_HOUR
@@ -52,6 +119,7 @@ __all__ = [
     "ParetoPoint",
     "SelectionResult",
     "FrontierIndex",
+    "StructuredIndex",
     "select_configurations",
     "select_configurations_batch",
 ]
@@ -59,6 +127,19 @@ __all__ = [
 #: Rows per block of the feasibility-count structure (√S-ish for the
 #: paper's space; a single block for small spaces).
 DEFAULT_FEASIBILITY_BLOCK = 4096
+
+#: Slack of the structured path per catalog type, relative to the
+#: largest value a sum (or ``V``) can take: ``δ = M · _SLACK · max``.
+#: 2⁻⁴⁴ is 256 ulps of that maximum per type, far above every rounding
+#: the exactness argument (module docstring) has to absorb.
+_SLACK = 2.0 ** -44
+
+#: Band pairs the structured count resolves one by one; a larger band
+#: falls back to the exhaustive scan.
+_BAND_LIMIT = 1 << 16
+
+#: Positions per block of the structured count's ``V`` structure.
+_HALF_BLOCK = 64
 
 #: Bit pattern of +inf: every non-negative double's pattern lies in
 #: ``[0, _INF_BITS]`` and orders the same way as its value.
@@ -71,6 +152,35 @@ def _double_from_bits(bits: int) -> float:
 
 def _bits_from_double(value: float) -> int:
     return struct.unpack("<q", struct.pack("<d", value))[0]
+
+
+def _first_double(holds: "Callable[[float], bool]", guess: float) -> float:
+    """Smallest double in ``[0, +inf]`` at which ``holds`` is true.
+
+    ``holds`` must be monotone (false, then true) over non-negative
+    doubles; ``+inf`` is returned when it holds nowhere below.
+    Non-negative doubles order like their bit patterns, so this is a
+    bisection over patterns (no data touched).  The real-valued
+    threshold ``guess`` lands a few ulps from the answer, so a bracket
+    around it usually leaves four steps instead of 64.
+    """
+    def at(bits: int) -> bool:
+        return holds(_double_from_bits(bits))
+
+    lo, hi = 0, _INF_BITS
+    guess_bits = _bits_from_double(guess)
+    below, above = max(guess_bits - 8, lo), min(guess_bits + 8, hi)
+    if not at(below):
+        lo = below + 1
+    if at(above):
+        hi = above
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if at(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return _double_from_bits(lo)
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,18 +250,21 @@ def _validate_query(demand_gi: float, deadline_hours: float,
 
 
 def _materialize(
-    evaluation: SpaceEvaluation,
+    space: ConfigurationSpace,
     all_t: np.ndarray,
     all_c: np.ndarray,
     all_rows: np.ndarray,
+    all_capacity: np.ndarray,
+    all_unit_cost: np.ndarray,
     epsilons: tuple[float, float] | None,
 ) -> list[ParetoPoint]:
     """Order the surviving frontier, optionally ε-thin it, build the points.
 
-    Shared verbatim by the streamed and indexed paths so ordering,
-    ε-filtering and decoding are identical: inputs arrive in ascending
-    evaluation-row order, output is sorted by time (stable, so ties keep
-    row order), and all configurations decode in one vectorized call.
+    Shared verbatim by the streamed, indexed and structured paths so
+    ordering, ε-filtering and decoding are identical: inputs arrive in
+    ascending evaluation-row order, output is sorted by time (stable, so
+    ties keep row order), and all configurations decode in one
+    vectorized call.
     """
     if all_rows.size == 0:
         return []
@@ -165,22 +278,19 @@ def _materialize(
         eps_mask[np.asarray(kept_tags, dtype=np.int64)] = True
         all_t, all_c, all_rows = all_t[eps_mask], all_c[eps_mask], \
             all_rows[eps_mask]
+        all_capacity = all_capacity[eps_mask]
+        all_unit_cost = all_unit_cost[eps_mask]
     order = np.argsort(all_t, kind="stable")
-    sel_t = all_t[order]
-    sel_c = all_c[order]
-    sel_rows = all_rows[order]
-    matrix = evaluation.configurations_at(sel_rows)
-    capacity = evaluation.capacity_gips
-    unit_cost = evaluation.unit_cost_per_hour
+    matrix = space.decode(all_rows[order] + 1)
     return [
         ParetoPoint(
             configuration=tuple(int(v) for v in matrix[k]),
-            time_hours=float(sel_t[k]),
-            cost_dollars=float(sel_c[k]),
-            capacity_gips=float(capacity[row]),
-            unit_cost_per_hour=float(unit_cost[row]),
+            time_hours=float(all_t[i]),
+            cost_dollars=float(all_c[i]),
+            capacity_gips=float(all_capacity[i]),
+            unit_cost_per_hour=float(all_unit_cost[i]),
         )
-        for k, row in enumerate(sel_rows.tolist())
+        for k, i in enumerate(order.tolist())
     ]
 
 
@@ -214,6 +324,7 @@ class FrontierIndex:
         if block_size < 1:
             raise ValidationError("block size must be >= 1")
         self.evaluation = evaluation
+        self.space = evaluation.space
         self._block_size = block_size
         capacity = evaluation.capacity_gips
         unit_cost = evaluation.unit_cost_per_hour
@@ -238,6 +349,7 @@ class FrontierIndex:
             final = pareto_mask_2d(-cand_capacity, cand_ratio)
             self.frontier_rows = rows[final]  # ascending row order
             self._frontier_capacity = cand_capacity[final]
+            self._frontier_unit_cost = unit_cost[self.frontier_rows]
             self._frontier_ratio = cand_ratio[final]
             span.set_attribute("candidates", int(rows.size))
             span.set_attribute("frontier", int(self.frontier_rows.size))
@@ -268,13 +380,15 @@ class FrontierIndex:
         """
         index = cls.__new__(cls)
         index.evaluation = evaluation
+        index.space = evaluation.space
         index._block_size = int(block_size)
         index.frontier_rows = np.asarray(frontier_rows, dtype=np.int64)
-        capacity = evaluation.capacity_gips
-        index._frontier_capacity = capacity[index.frontier_rows]
+        index._frontier_capacity = \
+            evaluation.capacity_gips[index.frontier_rows]
+        index._frontier_unit_cost = \
+            evaluation.unit_cost_per_hour[index.frontier_rows]
         index._frontier_ratio = \
-            evaluation.unit_cost_per_hour[index.frontier_rows] \
-            / index._frontier_capacity
+            index._frontier_unit_cost / index._frontier_capacity
         index._capacity_order = capacity_order
         index._ratio_by_capacity = ratio_by_capacity
         index._ratio_blocks = ratio_blocks
@@ -347,31 +461,11 @@ class FrontierIndex:
 
         ``fl(fl(D·r)/3600)`` is monotone non-decreasing in ``r``, so a row
         is cost-feasible iff its ratio is strictly below the returned
-        value.  Non-negative doubles order like their bit patterns, so
-        the cutoff is a bisection over patterns in ``[0, +inf]`` (no data
-        touched); the predicate fails at ``+inf``.  The real-valued
-        threshold ``C'·3600/D`` lands a few ulps from the cutoff, so a
-        bracket around it usually leaves four steps instead of 64.
+        value (``+inf`` when every finite ratio is).
         """
-        def feasible(bits: int) -> bool:
-            return demand_gi * _double_from_bits(bits) / SECONDS_PER_HOUR \
-                < budget_dollars
-
-        lo, hi = 0, _INF_BITS
-        guess = _bits_from_double(budget_dollars * SECONDS_PER_HOUR
-                                  / demand_gi)
-        below, above = max(guess - 8, lo), min(guess + 8, hi)
-        if feasible(below):
-            lo = below + 1
-        if not feasible(above):
-            hi = above
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if feasible(mid):
-                lo = mid + 1
-            else:
-                hi = mid
-        return _double_from_bits(lo)
+        return _first_double(
+            lambda r: not demand_gi * r / SECONDS_PER_HOUR < budget_dollars,
+            budget_dollars * SECONDS_PER_HOUR / demand_gi)
 
     def feasible_count(self, demand_gi: float, deadline_hours: float,
                        budget_dollars: float) -> int:
@@ -410,14 +504,15 @@ class FrontierIndex:
         costs = demand_gi * self._frontier_ratio / SECONDS_PER_HOUR
         keep = (times < deadline_hours) & (costs < budget_dollars)
         pareto_points = _materialize(
-            self.evaluation, times[keep], costs[keep],
-            self.frontier_rows[keep], epsilons,
+            self.space, times[keep], costs[keep], self.frontier_rows[keep],
+            self._frontier_capacity[keep], self._frontier_unit_cost[keep],
+            epsilons,
         )
         return SelectionResult(
             demand_gi=demand_gi,
             deadline_hours=deadline_hours,
             budget_dollars=budget_dollars,
-            total_configurations=self.evaluation.space.size,
+            total_configurations=self.space.size,
             feasible_count=self.feasible_count(demand_gi, deadline_hours,
                                                budget_dollars),
             pareto=tuple(pareto_points),
@@ -462,20 +557,301 @@ class FrontierIndex:
         for q in range(demands.size):
             mask = keep[q]
             pareto_points = _materialize(
-                self.evaluation, times[q][mask], costs[q][mask],
-                self.frontier_rows[mask], epsilons,
+                self.space, times[q][mask], costs[q][mask],
+                self.frontier_rows[mask], self._frontier_capacity[mask],
+                self._frontier_unit_cost[mask], epsilons,
             )
             results.append(SelectionResult(
                 demand_gi=float(demands[q]),
                 deadline_hours=float(deadlines[q]),
                 budget_dollars=float(budgets[q]),
-                total_configurations=self.evaluation.space.size,
+                total_configurations=self.space.size,
                 feasible_count=self.feasible_count(
                     float(demands[q]), float(deadlines[q]),
                     float(budgets[q])),
                 pareto=tuple(pareto_points),
             ))
         return results
+
+
+class StructuredIndex(FrontierIndex):
+    """Algorithm 1 from the sum structure of Eq. 3 / Eq. 6, with no sweep.
+
+    A :class:`FrontierIndex` whose two artefacts come from the per-type
+    terms instead of an S-row evaluation (see the module docstring for
+    the exactness argument):
+
+    * the frontier — the per-type Minkowski sum of ``(U, P)``, pruned
+      after each type with the slack ``δ``, then the exact
+      ``pareto_mask_2d`` over ``(−U, C_u/U)`` on the survivors;
+    * the feasible count — a meet in the middle over two halves of the
+      catalog, whose tables are built on the first
+      :meth:`feasible_count` (or by :meth:`ensure_feasibility`).
+
+    ``excluded_types`` pins those types' node counts to zero (the
+    memory constraint): the answer covers exactly the configurations
+    that use none of them, rows stay full-space linear indices and
+    ``total_configurations`` stays ``S``.  Every value is the canonical
+    arithmetic of :mod:`repro.core.sweepkernel`, so answers are
+    bit-identical to the streamed scan over a sweep.
+    """
+
+    def __init__(self, space: ConfigurationSpace,
+                 capacities_gips: np.ndarray,
+                 *, excluded_types: "Sequence[int]" = ()):
+        from repro.core.capacity import capacity_per_type
+        from repro.obs.trace import get_tracer
+
+        weights = capacity_per_type(capacities_gips)
+        if weights.size != len(space.catalog):
+            raise ValidationError("one capacity per catalog type is needed")
+        excluded = sorted({int(i) for i in excluded_types})
+        if excluded and (excluded[0] < 0 or excluded[-1] >= weights.size):
+            raise ValidationError("excluded type index out of range")
+        self.space = space
+        self._weights = weights
+        self._prices = np.asarray(space.catalog.prices, dtype=np.float64)
+        self._radices = space.radices.copy()
+        self._radices[excluded] = 1
+        top = (self._radices - 1)[None, :]
+        # Sums are monotone in every node count, so the full
+        # configuration holds the largest U and P of the (sub)space.
+        self._u_max = float(canonical_sums(top, weights)[0])
+        self._p_max = float(canonical_sums(top, self._prices)[0])
+        used = self._radices > 1
+        self._r_max = float(np.max(self._prices[used] / weights[used])) \
+            if used.any() else 0.0
+        self._slack = weights.size * _SLACK
+        self._block_size = _HALF_BLOCK
+        self._halves: "_Halves | None" = None
+        with get_tracer().span("frontier.structured",
+                               {"excluded": len(excluded)}) as span:
+            codes, u, p = self._pruned_sum()
+            ratio = p / u
+            final = pareto_mask_2d(-u, ratio)
+            order = np.argsort(codes[final])
+            self.frontier_rows = codes[final][order] - 1
+            self._frontier_capacity = u[final][order]
+            self._frontier_unit_cost = p[final][order]
+            self._frontier_ratio = ratio[final][order]
+            span.set_attribute("candidates", int(codes.size))
+            span.set_attribute("frontier", int(self.frontier_rows.size))
+
+    def _sums(self, i: int, j: int, u: "np.ndarray | None" = None,
+              p: "np.ndarray | None" = None):
+        """``U``, ``P`` and linear-index codes of every digit combination
+        of types ``i..j−1``, continuing the partial sums ``u``/``p``
+        (``None``: from zero) and codes ``0``."""
+        code = np.zeros(1, dtype=np.int64)
+        for k in range(i, j):
+            code = np.add.outer(
+                code, np.arange(self._radices[k]) * self.space.strides[k]
+            ).ravel()
+        return (outer_sums(self._weights[i:j], self._radices[i:j], start=u),
+                outer_sums(self._prices[i:j], self._radices[i:j], start=p),
+                code)
+
+    def _pruned_sum(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """Codes, U and P of the non-empty sums that survive the prune."""
+        du = self._slack * self._u_max
+        dp = self._slack * self._p_max
+        codes = np.zeros(1, dtype=np.int64)
+        u = p = np.zeros(1)
+        for i in range(self._weights.size):
+            u, p, code = self._sums(i, i + 1, u, p)
+            codes = np.add.outer(codes, code).ravel()
+            keep = _slack_survivors(u, p, du, dp)
+            codes, u, p = codes[keep], u[keep], p[keep]
+        nonempty = codes > 0
+        return codes[nonempty], u[nonempty], p[nonempty]
+
+    # -- the feasible count ------------------------------------------------------
+
+    def ensure_feasibility(self) -> None:
+        """Build the two half tables of the count if not yet present.
+
+        The first ``k`` catalog types form the left half and the rest
+        the right half, with ``k`` the largest split whose left half is
+        no bigger than the right; the right half is kept sorted by
+        ``U``.  Idempotent, and published last like the parent's
+        structure, so concurrent executor threads see either nothing or
+        the complete tables.
+        """
+        if self._halves is not None:
+            return
+        m = self._radices.size
+        sizes = np.cumprod(self._radices.astype(np.float64))
+        k = int(np.searchsorted(sizes * sizes, sizes[-1], side="right"))
+        left_u, left_p, left_code = self._sums(0, k)
+        right_u, right_p, right_code = self._sums(k, m)
+        order = np.argsort(right_u, kind="stable")
+        self._halves = _Halves(left_u, left_p, left_code, right_u[order],
+                               right_p[order], right_code[order])
+
+    @staticmethod
+    def _capacity_cutoff_value(demand_gi: float,
+                               deadline_hours: float) -> float:
+        """Smallest double ``U`` whose predicted time beats ``T'``.
+
+        ``fl(fl(D/U)/3600)`` is monotone non-increasing in ``U``, so a
+        row is time-feasible iff its capacity is at least the returned
+        value (``+inf`` when no finite capacity is).
+        """
+        return _first_double(
+            lambda u: u > 0 and demand_gi / u / SECONDS_PER_HOUR
+            < deadline_hours,
+            demand_gi / (deadline_hours * SECONDS_PER_HOUR))
+
+    def feasible_count(self, demand_gi: float, deadline_hours: float,
+                       budget_dollars: float) -> int:
+        """How many configurations satisfy ``T < T'`` and ``C < C'``.
+
+        Exactly the streamed count: certain pairs of half-sums are
+        counted with one ``searchsorted`` per block, pairs inside the
+        slack band are summed in full and tested with the exact
+        predicates, and a band of more than :data:`_BAND_LIMIT` pairs
+        falls back to the exhaustive count.
+        """
+        _validate_query(demand_gi, deadline_hours, budget_dollars)
+        self.ensure_feasibility()
+        u_cut = self._capacity_cutoff_value(demand_gi, deadline_hours)
+        if u_cut > self._u_max:
+            return 0
+        r_cut = self._ratio_cutoff(demand_gi, budget_dollars)
+        if r_cut == 0.0:
+            return 0
+        h = self._halves
+        du = self._slack * self._u_max
+        # Time: certain from position time_sure on, impossible before
+        # time_band.
+        time_sure = np.searchsorted(h.right_u, (u_cut + du) - h.left_u)
+        time_band = np.searchsorted(h.right_u, (u_cut - du) - h.left_u)
+        band = [_expand_ranges(time_band, time_sure)]
+        n_band = int((time_sure - time_band).sum())
+        if r_cut > self._r_max * (1.0 + self._slack):
+            # Every ratio is below the cutoff: time alone decides.
+            sure = int((h.right_u.size - time_sure).sum())
+        else:
+            dv = self._slack * (self._p_max + r_cut * self._u_max)
+            left_v = h.left_p - r_cut * h.left_u
+            right_v = h.right_p - r_cut * h.right_u
+            cost_sure = -dv - left_v  # V_R below: certainly affordable
+            cost_none = dv - left_v   # V_R at or above: certainly not
+            sure = _count_below(right_v, time_sure, cost_sure)
+            ordered = np.sort(right_v)
+            lo = np.searchsorted(ordered, cost_sure)
+            hi = np.searchsorted(ordered, cost_none)
+            n_band += int((hi - lo).sum())
+            if n_band <= _BAND_LIMIT and (hi > lo).any():
+                owner, k = _expand_ranges(lo, hi)
+                position = np.argsort(right_v, kind="stable")[k]
+                in_time = position >= time_sure[owner]
+                band.append((owner[in_time], position[in_time]))
+        if n_band > _BAND_LIMIT:
+            return self._exhaustive_count(demand_gi, deadline_hours,
+                                          budget_dollars)
+        left = np.concatenate([b[0] for b in band])
+        if left.size == 0:
+            return sure
+        right = np.concatenate([b[1] for b in band])
+        digits = self.space._decode_unchecked(h.left_code[left]
+                                              + h.right_code[right])
+        return sure + _count_feasible(
+            canonical_sums(digits, self._weights),
+            canonical_sums(digits, self._prices),
+            demand_gi, deadline_hours, budget_dollars)
+
+    def _exhaustive_count(self, demand_gi: float, deadline_hours: float,
+                          budget_dollars: float) -> int:
+        """The streamed count over the (sub)space, one first-type digit
+        at a time: the fallback for an oversized band."""
+        m = self._radices.size
+        count = 0
+        for u0, p0 in zip(*self._sums(0, 1)[:2]):
+            capacity, unit_cost, _ = self._sums(1, m, [u0], [p0])
+            count += _count_feasible(capacity, unit_cost, demand_gi,
+                                     deadline_hours, budget_dollars)
+        return count
+
+
+def _count_feasible(capacity: np.ndarray, unit_cost: np.ndarray,
+                    demand_gi: float, deadline_hours: float,
+                    budget_dollars: float) -> int:
+    """Rows meeting Algorithm 1's exact predicates (the empty
+    configuration, ``U = 0``, never does)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        times = demand_gi / capacity / SECONDS_PER_HOUR
+        costs = demand_gi * (unit_cost / capacity) / SECONDS_PER_HOUR
+    return int(np.count_nonzero((times < deadline_hours)
+                                & (costs < budget_dollars)))
+
+
+def _slack_survivors(u: np.ndarray, p: np.ndarray, du: float,
+                     dp: float) -> np.ndarray:
+    """Mask of partial sums with no slack dominator.
+
+    A partial ``a`` is dropped iff some ``b`` has ``U_b ≥ U_a + δ_U``
+    and ``P_b ≤ P_a − δ_P``: one sort by ``U``, a suffix minimum of
+    ``P`` and one ``searchsorted``.
+    """
+    order = np.argsort(u, kind="stable")
+    us, ps = u[order], p[order]
+    suffix_min = np.append(np.minimum.accumulate(ps[::-1])[::-1], np.inf)
+    first = np.searchsorted(us, us + du, side="left")
+    keep = np.ones(u.size, dtype=bool)
+    keep[order[suffix_min[first] <= ps - dp]] = False
+    return keep
+
+
+class _Halves(NamedTuple):
+    """Half-sum tables of :class:`StructuredIndex`'s count: every digit
+    combination of the first types (``left_*``) and of the rest sorted
+    by ``U`` (``right_*``); ``*_code`` are linear-index contributions."""
+
+    left_u: np.ndarray
+    left_p: np.ndarray
+    left_code: np.ndarray
+    right_u: np.ndarray
+    right_p: np.ndarray
+    right_code: np.ndarray
+
+
+def _count_below(values: np.ndarray, start: np.ndarray,
+                 limit: np.ndarray) -> int:
+    """``Σ_L #{position ≥ start[L] : values[position] < limit[L]}``.
+
+    Positions are cut into blocks of :data:`_HALF_BLOCK`, each sorted by
+    value.  Block ``b`` is searched (one vectorized ``searchsorted``)
+    only for the ``L`` whose suffix covers it whole; the partial head
+    of each suffix is compared directly.
+    """
+    size, block = values.size, _HALF_BLOCK
+    n_blocks = -(-size // block)
+    padded = np.full((n_blocks + 1) * block, np.inf)
+    padded[:size] = values
+    blocks = np.sort(padded[:n_blocks * block].reshape(n_blocks, block),
+                     axis=1)
+    first_full = -(-start // block)
+    by_first = np.argsort(first_full, kind="stable")
+    covering = np.searchsorted(first_full[by_first], np.arange(n_blocks),
+                               side="right")
+    limits = limit[by_first]
+    count = sum(int(np.searchsorted(blocks[b], limits[:covering[b]]).sum())
+                for b in range(n_blocks))
+    head = start[:, None] + np.arange(block)
+    in_head = head < np.minimum(first_full * block, size)[:, None]
+    return count + int(np.count_nonzero(in_head
+                                        & (padded[head] < limit[:, None])))
+
+
+def _expand_ranges(starts: np.ndarray,
+                   stops: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """``(i, v)`` for every ``v`` in ``[starts[i], stops[i])``, by ``i``."""
+    widths = stops - starts
+    owner = np.repeat(np.arange(widths.size), widths)
+    offsets = np.arange(owner.size) - np.repeat(np.cumsum(widths) - widths,
+                                                widths)
+    return owner, starts[owner] + offsets
 
 
 def select_configurations_batch(
@@ -605,8 +981,9 @@ def select_configurations(
         sel_rows = all_rows[final]
         all_t = demand_gi / all_capacity[final] / SECONDS_PER_HOUR
         all_c = demand_gi * all_ratio[final] / SECONDS_PER_HOUR
-        pareto_points = _materialize(evaluation, all_t, all_c, sel_rows,
-                                     epsilons)
+        pareto_points = _materialize(
+            space, all_t, all_c, sel_rows, all_capacity[final],
+            evaluation.unit_cost_per_hour[sel_rows], epsilons)
 
     return SelectionResult(
         demand_gi=demand_gi,

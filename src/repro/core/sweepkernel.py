@@ -1,21 +1,37 @@
 """Fused sweep kernel — decode, reduce and harvest frontier candidates.
 
-The serial loop, the supervised workers and the checkpoint-resume path
-all evaluate the space through one :class:`ChunkKernel`, which owns a
+Every Eq. 3 / Eq. 6 reduction in the package — the sweep tiles here,
+the broadcast full sweep, the structured selection path, the band check
+of its feasible count and :meth:`repro.core.celia.Celia.predict` — uses
+one *canonical* arithmetic: a left-to-right sum in catalog order,
+
+    ``acc = fl(acc + fl(m_i · W_i))`` for ``i = 0 .. M−1``,
+
+implemented once by :func:`canonical_sums` (rows of node counts) and
+:func:`outer_sums` (every digit combination at once, by
+``np.add.outer`` per type).  The two apply the same two IEEE roundings
+per type in the same order, so a configuration's ``U`` and ``P`` are
+functions of the configuration alone: no chunk grid, tile width, span
+partitioning, resume point or BLAS kernel can change a bit of them.
+(A ``matmul`` reduction is *not* such a function: the rounding of a
+row depends on its position in the kernel's tile and on the CPU's BLAS
+build.)
+
+The supervised workers and the checkpoint-resume path evaluate index
+spans through one :class:`ChunkKernel` (the serial sweep needs no
+decode: it is :func:`outer_sums` of the whole space), which owns a
 set of preallocated tile-sized buffers (:data:`KERNEL_TILE` rows, for
-cache locality) so the hot loop performs zero large allocations: the linear indices are written into a reused
+cache locality): the linear indices are written into a reused
 ``arange`` template, the mixed-radix decode runs in-place with
-``floor_divide``/``remainder``, and the capacity/unit-cost reductions
-are two matrix–vector products straight into the caller's output
-slices.  The float64 work matrix holds the same small non-negative
-integers the old ``int16`` decode produced, so the matvecs see
-bit-identical inputs and write bit-identical outputs.
+``floor_divide``/``remainder`` into a type-major buffer, and
+:func:`canonical_sums` reduces it straight into the caller's output
+slices.
 
 On top of the evaluation, :func:`chunk_frontier_candidates` harvests
 each chunk's local Pareto candidates over ``(−capacity, cost_ratio)``
 — the demand-invariant objective pair of
 :class:`repro.core.selection.FrontierIndex` — cheaply enough to run
-inside the sweep.  A full per-chunk nondomination scan would cost a
+inside a sweep worker.  A full per-chunk nondomination scan would cost a
 2M-element ``lexsort`` per chunk; instead :func:`local_frontier` prunes
 the chunk first with an exact *capacity-binned prefilter*:
 
@@ -53,9 +69,11 @@ from repro.pareto.frontier import pareto_mask_2d
 __all__ = [
     "KERNEL_TILE",
     "ChunkKernel",
+    "canonical_sums",
     "chunk_frontier_candidates",
     "frontier_candidates_from_values",
     "local_frontier",
+    "outer_sums",
 ]
 
 #: Capacity bins of the prefilter.  More bins mean fewer survivors for
@@ -64,14 +82,56 @@ _PREFILTER_BINS = 1 << 12
 
 #: Rows per internal decode/reduce tile.  A full 2M-row chunk drags
 #: ~300 MB of work buffers through memory; tiling keeps the decode's
-#: working set near the cache and roughly halves the serial sweep.
-#: Purely an execution detail — outputs are written slice by slice and
-#: are bit-identical for any tile width.
+#: working set near the cache.  Purely an execution detail: the
+#: canonical arithmetic makes every row's value independent of the tile
+#: it falls in.
 KERNEL_TILE = 1 << 17
 
 
+def canonical_sums(counts: np.ndarray, weights: np.ndarray,
+                   out: "np.ndarray | None" = None) -> np.ndarray:
+    """Eq. 3 / Eq. 6 of configuration rows in the canonical arithmetic.
+
+    ``counts`` is a ``(k, M)`` node-count matrix (any integer dtype, or
+    floats holding small integers); ``weights`` the ``M`` per-type
+    capacities or prices.  Returns ``acc`` with
+    ``acc = fl(acc + fl(m_i · W_i))`` folded left to right over the
+    types, written into ``out`` when given.
+    """
+    counts = np.asarray(counts)
+    weights = np.asarray(weights, dtype=np.float64)
+    if counts.ndim != 2 or counts.shape[1] != weights.size:
+        raise ValueError("counts must be a (k, M) matrix matching weights")
+    if out is None:
+        out = np.empty(counts.shape[0], dtype=np.float64)
+    np.multiply(counts[:, 0], weights[0], out=out, dtype=np.float64)
+    term = np.empty_like(out)
+    for i in range(1, weights.size):
+        np.multiply(counts[:, i], weights[i], out=term, dtype=np.float64)
+        np.add(out, term, out=out)
+    return out
+
+
+def outer_sums(weights: np.ndarray, radices: np.ndarray,
+               start: "np.ndarray | None" = None) -> np.ndarray:
+    """Canonical sums of every digit combination, in mixed-radix order.
+
+    Element ``Σ d_i·stride_i`` (first type most significant, strides of
+    ``radices``) holds the :func:`canonical_sums` value of the node
+    counts ``d``: each type contributes ``np.add.outer`` of the running
+    sums with its terms ``fl(m·W_i)``, ``m = 0 .. radix−1``.  ``start``
+    (default ``[0.0]``) seeds the fold with partial sums of types that
+    precede ``weights``; element ``j·Π radices + …`` then continues
+    ``start[j]``.  Index 0 is the empty configuration.
+    """
+    acc = np.zeros(1) if start is None else np.asarray(start, dtype=np.float64)
+    for w, r in zip(np.asarray(weights, dtype=np.float64), radices):
+        acc = np.add.outer(acc, np.arange(int(r)) * w).ravel()
+    return acc
+
+
 class ChunkKernel:
-    """Reusable buffers + fused decode/reduce for one sweep.
+    """Reusable buffers + fused decode/canonical reduce for index spans.
 
     Parameters
     ----------
@@ -98,8 +158,7 @@ class ChunkKernel:
         self._tile_rows = min(self.max_chunk, KERNEL_TILE)
         self._base = np.arange(self._tile_rows, dtype=np.int64)
         self._idx = np.empty(self._tile_rows, dtype=np.int64)
-        self._work = np.empty((self._tile_rows, m), dtype=np.int64)
-        self._fwork = np.empty((self._tile_rows, m), dtype=np.float64)
+        self._work = np.empty((m, self._tile_rows), dtype=np.int64)
         self._ratio = np.empty(self.max_chunk, dtype=np.float64)
 
     def evaluate_into(self, start: int, stop: int, capacity_out: np.ndarray,
@@ -121,13 +180,11 @@ class ChunkKernel:
         k = stop - start
         idx = self._idx[:k]
         np.add(self._base[:k], start, out=idx)
-        work = self._work[:k]
-        np.floor_divide(idx[:, None], self.strides[None, :], out=work)
-        np.remainder(work, self.radices[None, :], out=work)
-        fwork = self._fwork[:k]
-        fwork[...] = work  # exact small-integer cast; matvec inputs match
-        np.matmul(fwork, self.weights, out=capacity_out)
-        np.matmul(fwork, self.prices, out=unit_cost_out)
+        work = self._work[:, :k]  # type-major: each type's digits contiguous
+        np.floor_divide(idx[None, :], self.strides[:, None], out=work)
+        np.remainder(work, self.radices[:, None], out=work)
+        canonical_sums(work.T, self.weights, out=capacity_out)
+        canonical_sums(work.T, self.prices, out=unit_cost_out)
 
     def frontier_candidates(self, start: int, capacity: np.ndarray,
                             unit_cost: np.ndarray) -> np.ndarray:

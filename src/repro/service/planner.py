@@ -1,19 +1,21 @@
 """`PlannerService` — warm, batched, metered Algorithm-1 serving.
 
-The pipeline's artefacts (catalog → characterization → space evaluation →
-:class:`~repro.core.selection.FrontierIndex`) are pure functions of a
-*space signature* ``(app, quota, seed)``; once built, every query against
-them is sub-millisecond.  A one-shot process pays the whole chain per
-request.  This service keeps the chain **warm** — built once per
-signature, behind an async lock — and answers ``select`` / ``predict`` /
-``plan`` requests from it.
+The pipeline's artefacts (catalog → characterization →
+:class:`~repro.core.selection.StructuredIndex`, plus the full-space
+evaluation and min-cost index once a ``plan``/``replan`` needs them) are
+pure functions of a *space signature* ``(app, quota, seed)``; once
+built, every query against them is about a millisecond.  A one-shot
+process pays the whole chain per request.  This service keeps the chain
+**warm** — built once per signature, behind an async lock — and answers
+``select`` / ``predict`` / ``plan`` requests from it.
 
 Three serving mechanics sit on top of the warm state:
 
 * **micro-batching** — concurrent ``select`` requests that share a space
   signature are coalesced (for at most ``batch_window_s``, up to
   ``max_batch``) into one vectorized
-  :meth:`~repro.core.selection.FrontierIndex.select_batch` pass, whose
+  :meth:`~repro.core.selection.FrontierIndex.select_batch` pass over the
+  structured index, whose
   per-query results are bit-identical to individual calls;
 * **admission control** — at most ``max_queue_depth`` requests may be
   admitted-but-unfinished; the next one is rejected immediately with
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 import time
 from collections import OrderedDict
 from collections.abc import Callable
@@ -43,6 +46,7 @@ from dataclasses import dataclass
 from repro.apps import application_by_name
 from repro.cloud.catalog import Catalog, ec2_catalog
 from repro.core.celia import Celia
+from repro.core.optimizer import MinCostIndex
 from repro.core.planner import max_accuracy_plan, max_problem_size_plan
 from repro.errors import ReproError, ValidationError
 from repro.obs.trace import get_tracer
@@ -99,8 +103,8 @@ class ServiceConfig:
     #: LRU cap on warm signatures (None = unbounded).  With a fleet of
     #: shards serving an open tenant population this is the RAM bound:
     #: the least-recently-used signature's state is dropped and lazily
-    #: rebuilt on its next request — a millisecond mmap when the index
-    #: snapshot is on disk, bit-identical either way.
+    #: rebuilt on its next request — characterization plus a
+    #: millisecond structured build, bit-identical either way.
     max_warm_states: "int | None" = None
     #: Deadline applied when a request does not carry its own.
     default_timeout_s: float = 30.0
@@ -138,17 +142,43 @@ class SpaceSignature:
 
 
 class _WarmState:
-    """Everything needed to answer queries for one signature."""
+    """Everything needed to answer queries for one signature.
 
-    def __init__(self, celia: Celia, app) -> None:
+    Selections need only the structured index (milliseconds, no sweep),
+    built with the state.  The full-space evaluation and its min-cost
+    index serve ``plan``/``replan`` alone, so they are built on the
+    first such request, under a lock, and published last: executor
+    threads see either nothing or the finished index.
+    """
+
+    def __init__(self, celia: Celia, app, metrics: MetricsRegistry) -> None:
         self.celia = celia
         self.app = app
-        # Force every lazy artefact now, inside the executor thread that
-        # builds the state, so queries never pay for them on the loop.
-        self.evaluation = celia.evaluation(app)
+        self.metrics = metrics
+        # Force the selection artefacts now, inside the executor thread
+        # that builds the state, so queries never pay for them.
         self.index = celia.selection_index(app)
-        self.min_cost = celia.min_cost_index(app)
+        self.index.ensure_feasibility()
         self.demand_model = celia.demand_model(app)
+        self._min_cost: "MinCostIndex | None" = None
+        self._min_cost_lock = threading.Lock()
+
+    @property
+    def min_cost(self) -> MinCostIndex:
+        """The deadline-query index over the full space (built lazily)."""
+        if self._min_cost is None:
+            with self._min_cost_lock:
+                if self._min_cost is None:
+                    sweep = self.celia.evaluation(self.app).sweep_stats()
+                    if sweep is not None:
+                        # The sweep found checkpoint shards and resumed
+                        # from them instead of re-sweeping; surface it.
+                        self.metrics.counter("warm_spans_resumed").increment(
+                            sweep.spans_resumed)
+                        self.metrics.counter("warm_spans_swept").increment(
+                            sweep.spans_evaluated)
+                    self._min_cost = self.celia.min_cost_index(self.app)
+        return self._min_cost
 
 
 class _PendingSelect:
@@ -249,17 +279,9 @@ class PlannerService:
                 self.metrics.gauge("warm_signatures").set(len(self._states))
                 self.metrics.histogram("warm_build_s").observe(
                     time.perf_counter() - t0)
-                sweep = state.evaluation.sweep_stats()
-                if sweep is not None:
-                    # A warmup that found checkpoint shards resumed from
-                    # them instead of re-sweeping; surface the split.
-                    self.metrics.counter("warm_spans_resumed").increment(
-                        sweep.spans_resumed)
-                    self.metrics.counter("warm_spans_swept").increment(
-                        sweep.spans_evaluated)
                 if state.celia.last_index_from_snapshot:
-                    # The frontier index was memory-mapped from a
-                    # persisted snapshot instead of rebuilt.
+                    # Never true on the structured path, which reads no
+                    # snapshot: the series stays at zero.
                     self.metrics.counter("warm_from_snapshot").increment()
                     self.metrics.histogram("warm_load_s").observe(
                         state.celia.last_index_load_s)
@@ -300,7 +322,8 @@ class PlannerService:
             cache_dir=self.config.cache_dir,
         )
         return _WarmState(celia, application_by_name(signature.app,
-                                                     seed=signature.seed))
+                                                     seed=signature.seed),
+                          self.metrics)
 
     # -- admission, caching, timeouts ------------------------------------------
 

@@ -140,6 +140,22 @@ def brute_force_space(catalog: Catalog) -> np.ndarray:
     return np.vstack(rows)
 
 
+def canonical_sums_brute(configs: np.ndarray, weights) -> np.ndarray:
+    """Eq. 3 / Eq. 6 of each row by definition, in plain Python floats.
+
+    ``acc = fl(acc + fl(m_i·W_i))`` left to right in catalog order — the
+    one arithmetic every sum in the package must reproduce bit for bit.
+    """
+    w = [float(x) for x in weights]
+    out = []
+    for row in np.atleast_2d(configs):
+        acc = float(row[0]) * w[0]
+        for m, wi in zip(row[1:], w[1:]):
+            acc = acc + float(m) * wi
+        out.append(acc)
+    return np.array(out)
+
+
 @pytest.fixture()
 def small_space(small_catalog) -> ConfigurationSpace:
     return ConfigurationSpace(small_catalog)

@@ -86,6 +86,21 @@ class TestRoundTrip:
         assert loaded.unit_cost_per_hour.tobytes() == \
             evaluation.unit_cost_per_hour.tobytes()
 
+    def test_version_1_entry_is_not_served(self, evaluated,
+                                           small_capacities, tmp_path,
+                                           monkeypatch):
+        """Version-1 entries hold BLAS-rounded sums, which differ from the
+        canonical arithmetic in the last ulp: they must miss."""
+        import repro.cache as cache_module
+
+        space, evaluation = evaluated
+        cache = EvaluationCache(tmp_path)
+        monkeypatch.setattr(cache_module, "_FORMAT_VERSION", 1)
+        cache.store(evaluation, small_capacities)
+        assert cache.load(space, small_capacities) is not None
+        monkeypatch.undo()
+        assert cache.load(space, small_capacities) is None
+
     def test_loaded_arrays_are_memory_mapped(self, evaluated,
                                              small_capacities, tmp_path):
         space, evaluation = evaluated
@@ -499,16 +514,25 @@ class TestIndexSnapshots:
 
 
 class TestCeliaSnapshotWarmStart:
-    def test_selection_index_persists_and_reloads(self, small_catalog,
-                                                  simple_app, tmp_path):
+    def test_selection_index_neither_sweeps_nor_persists(
+            self, small_catalog, simple_app, tmp_path, monkeypatch):
+        """The structured index needs no sweep, so selecting writes
+        nothing to the cache and reads no snapshot."""
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("selection swept the space")
+
+        monkeypatch.setattr(ConfigurationSpace, "evaluate", no_sweep)
         first = Celia(small_catalog, seed=7, cache_dir=tmp_path)
-        first.selection_index(simple_app)
+        index = first.selection_index(simple_app)
+        result = first.select(simple_app, 1000.0, 1.0, 10.0, 50.0)
+        assert result.total_configurations == first.space.size
         assert first.last_index_from_snapshot is False
-        assert first.evaluation_cache.index_snapshots()
+        assert first.last_index_load_s == 0.0
+        assert first.evaluation_cache.entries() == []
+        assert first.evaluation_cache.index_snapshots() == []
+        assert list(tmp_path.iterdir()) == []
 
         second = Celia(small_catalog, seed=7, cache_dir=tmp_path)
-        index = second.selection_index(simple_app)
-        assert second.last_index_from_snapshot is True
-        assert second.last_index_load_s >= 0.0
-        assert index.frontier_rows.tobytes() == \
-            first.selection_index(simple_app).frontier_rows.tobytes()
+        assert second.selection_index(simple_app).frontier_rows.tobytes() \
+            == index.frontier_rows.tobytes()
+        assert second.last_index_from_snapshot is False

@@ -48,6 +48,22 @@ class TestPrediction:
         assert pred.cost_dollars == pytest.approx(
             pred.time_hours * pred.unit_cost_per_hour)
 
+    def test_predict_equals_the_selected_pareto_point(self, galaxy):
+        """A prediction and Algorithm 1's point for the same
+        configuration are the same numbers, bit for bit."""
+        from repro.cloud.catalog import ec2_catalog
+        from repro.core.celia import Celia
+
+        celia = Celia(ec2_catalog(max_nodes_per_type=3), cache_dir=False)
+        result = celia.select(galaxy, 65_536, 8_000, 48.0, 350.0)
+        assert result.pareto
+        for point in result.pareto:
+            pred = celia.predict(galaxy, 65_536, 8_000, point.configuration)
+            assert (pred.capacity_gips, pred.unit_cost_per_hour,
+                    pred.time_hours, pred.cost_dollars) == \
+                (point.capacity_gips, point.unit_cost_per_hour,
+                 point.time_hours, point.cost_dollars)
+
     def test_paper_validation_cell(self, celia_ec2, galaxy):
         """galaxy(65536, 8000) on [5,5,5,3,...]: ~24 h and ~$126."""
         pred = celia_ec2.predict(galaxy, 65_536, 8_000,

@@ -117,3 +117,24 @@ class TestEvaluation:
         evaluation = small_space.evaluate(small_capacities)
         with pytest.raises(ConfigurationError):
             evaluation.times_hours(0.0)
+
+
+class TestPositionIndependence:
+    def test_chunk_grid_and_workers_do_not_change_a_bit(self):
+        """Each row's U and P are functions of the configuration alone,
+        so ``celia sweep --chunk-size`` cannot store different arrays
+        under the same cache key."""
+        from repro.apps import application_by_name
+        from repro.cloud.catalog import ec2_catalog
+        from repro.core.celia import Celia
+
+        celia = Celia(ec2_catalog(max_nodes_per_type=3), cache_dir=False)
+        capacities = celia.capacities(application_by_name("galaxy"))
+        reference = celia.space.evaluate(capacities)
+        for kwargs in ({"chunk_size": 1001},
+                       {"chunk_size": 1001, "workers": 2}):
+            other = celia.space.evaluate(capacities, **kwargs)
+            assert other.capacity_gips.tobytes() == \
+                reference.capacity_gips.tobytes()
+            assert other.unit_cost_per_hour.tobytes() == \
+                reference.unit_cost_per_hour.tobytes()

@@ -13,24 +13,25 @@ from repro.core.selection import (
 )
 from repro.errors import ValidationError
 from repro.pareto.frontier import pareto_mask_2d
-from tests.conftest import brute_force_space
+from tests.conftest import brute_force_space, canonical_sums_brute
 
 
 def brute_force_selection(catalog, capacities, demand, deadline, budget):
     """Reference implementation of Algorithm 1 by direct enumeration.
 
-    Times, costs and dominance use the library's canonical forms:
-    ``T = fl(fl(D/U)/3600)``, ``C = fl(fl(D·r)/3600)`` with
-    ``r = fl(C_u/U)``, and nondomination over the demand-free proxies
-    ``(−U, r)`` — the exact real-arithmetic (time, cost) ordering.
-    Filtering rounded ``(T, C)`` values instead would occasionally
-    collapse distinct configurations into spurious ties (e.g. capacities
-    one summation-order ulp apart whose times round equal), making the
-    "frontier" depend on rounding noise rather than on dominance.
+    Sums use the canonical Eq. 3 / Eq. 6 arithmetic; times, costs and
+    dominance use the library's canonical forms: ``T = fl(fl(D/U)/3600)``,
+    ``C = fl(fl(D·r)/3600)`` with ``r = fl(C_u/U)``, and nondomination
+    over the demand-free proxies ``(−U, r)`` — the exact real-arithmetic
+    (time, cost) ordering.  Filtering rounded ``(T, C)`` values instead
+    would occasionally collapse distinct configurations into spurious
+    ties (e.g. capacities one summation-order ulp apart whose times round
+    equal), making the "frontier" depend on rounding noise rather than
+    on dominance.
     """
     configs = brute_force_space(catalog)
-    capacity = configs @ capacities
-    unit_cost = configs @ catalog.prices
+    capacity = canonical_sums_brute(configs, capacities)
+    unit_cost = canonical_sums_brute(configs, catalog.prices)
     ratio = unit_cost / capacity
     times = demand / capacity / 3600.0
     costs = demand * ratio / 3600.0

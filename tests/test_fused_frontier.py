@@ -25,6 +25,7 @@ from repro.core.sweepkernel import (
 from repro.parallel import FaultPlan, SupervisorConfig, evaluate_resilient
 from repro.parallel.supervisor import SweepInterrupted
 from repro.pareto.frontier import pareto_mask_2d
+from tests.conftest import canonical_sums_brute
 
 ROWS = [("a.small", 2, 2.0, 0.10), ("a.big", 4, 2.0, 0.21),
         ("b.small", 2, 2.5, 0.16)]
@@ -43,15 +44,10 @@ def fast_config(**overrides) -> SupervisorConfig:
 
 
 def reference_sweep(space, caps):
-    """The pre-fusion sweep: decode, cast, two matvecs per chunk."""
-    w = capacity_per_type(caps)
-    capacity = np.empty(space.size)
-    unit_cost = np.empty(space.size)
-    for start, chunk in space.iter_chunks():
-        f = chunk.astype(np.float64)
-        capacity[start - 1:start - 1 + len(chunk)] = f @ w
-        unit_cost[start - 1:start - 1 + len(chunk)] = f @ space.catalog.prices
-    return capacity, unit_cost
+    """The canonical arithmetic by definition, one decoded row at a time."""
+    matrix = space.decode(np.arange(1, space.size + 1))
+    return (canonical_sums_brute(matrix, capacity_per_type(caps)),
+            canonical_sums_brute(matrix, space.catalog.prices))
 
 
 def brute_candidates(capacity, unit_cost, base_row):

@@ -198,7 +198,8 @@ class TestBatching:
         state = service._states[signature]
         for (n, a, t, c), response in zip(queries, responses):
             demand = state.celia.demand_gi(state.app, n, a)
-            direct = select_configurations(state.evaluation, demand, t, c)
+            direct = select_configurations(
+                state.celia.evaluation(state.app), demand, t, c)
             assert response["result"] == selection_to_dict(direct)
 
     def test_different_signatures_do_not_share_batches(self):

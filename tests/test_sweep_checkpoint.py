@@ -262,7 +262,7 @@ class TestCeliaResume:
 
 
 class TestServiceWarmResume:
-    def test_warmup_resumes_and_reports_metrics(self, tmp_path):
+    def test_first_plan_resumes_and_reports_metrics(self, tmp_path):
         def tiny_catalog(quota):
             return make_catalog(ROWS, quota=quota)
 
@@ -284,6 +284,12 @@ class TestServiceWarmResume:
             catalog_factory=tiny_catalog,
         )
         asyncio.run(service.warm("galaxy"))
+        # Warming builds the structured index only: nothing is swept.
+        assert cp.directory.exists()
+        # The first plan needs the full-space evaluation and resumes it.
+        asyncio.run(service.plan("galaxy", 48.0, 350.0, fix_size=65536.0,
+                                 knob_range=(1000.0, 8000.0),
+                                 integral=True))
         assert service.metrics.counter("warm_spans_resumed").value == 1
         assert service.metrics.counter("warm_spans_swept").value == 0
         assert not cp.directory.exists()
