@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dctn, idctn
 
 from repro.errors import ValidationError
 
@@ -98,6 +97,10 @@ def encode_image(frame: np.ndarray, compression_factor: float) -> EncodeResult:
     frame = np.asarray(frame, dtype=np.float64)
     if frame.ndim != 2 or frame.shape[0] % BLOCK or frame.shape[1] % BLOCK:
         raise ValidationError("frame must be 2-D with dimensions divisible by 8")
+
+    # scipy is optional (the ``kernels`` extra); import it only here, so
+    # the planning path never loads it.
+    from scipy.fft import dctn, idctn
 
     blocks = _block_view(frame)
     coeffs = dctn(blocks, axes=(-2, -1), norm="ortho")

@@ -90,6 +90,23 @@ def _parse_workers(raw: str) -> "int | str":
         ) from None
 
 
+_BATCH_WINDOW_REMOVED = (
+    "a select batch no longer waits for a window: it flushes on the next "
+    "event-loop tick, or queues behind its signature's running batch")
+
+
+def _removed_flag(parser: argparse.ArgumentParser, flag: str,
+                  reason: str) -> None:
+    """Keep a deleted flag known, so passing it is a usage error naming why."""
+
+    class Removed(argparse.Action):
+        def __call__(self, parser, namespace, values, option_string=None):
+            parser.error(f"{option_string} was removed: {reason}")
+
+    parser.add_argument(flag, action=Removed, nargs="?",
+                        default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The full argument parser (exposed for testing and docs)."""
     parser = argparse.ArgumentParser(
@@ -297,8 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "accepting requests (repeatable)")
     p.add_argument("--max-queue", type=int, default=64,
                    help="admission-control queue depth (default 64)")
-    p.add_argument("--batch-window-ms", type=float, default=2.0,
-                   help="micro-batch coalescing window (default 2 ms)")
+    _removed_flag(p, "--batch-window-ms", _BATCH_WINDOW_REMOVED)
     p.add_argument("--max-batch", type=int, default=32,
                    help="max requests per vectorized batch (default 32)")
     p.add_argument("--timeout", type=float, default=30.0,
@@ -324,8 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--max-queue", type=int, default=64,
                    help="admission-control queue depth per worker "
                         "(default 64)")
-    f.add_argument("--batch-window-ms", type=float, default=2.0,
-                   help="micro-batch coalescing window (default 2 ms)")
+    _removed_flag(f, "--batch-window-ms", _BATCH_WINDOW_REMOVED)
     f.add_argument("--max-batch", type=int, default=32,
                    help="max requests per vectorized batch (default 32)")
     f.add_argument("--timeout", type=float, default=30.0,
@@ -913,7 +928,6 @@ def _cmd_serve(celia: Celia, args) -> int:
 
     config = ServiceConfig(
         max_queue_depth=args.max_queue,
-        batch_window_s=args.batch_window_ms / 1000.0,
         max_batch=args.max_batch,
         default_timeout_s=args.timeout,
         default_quota=args.quota,
@@ -957,7 +971,6 @@ def _cmd_fleet(celia: Celia, args) -> int:
         seed=args.seed,
         max_warm=args.max_warm,
         max_queue=args.max_queue,
-        batch_window_ms=args.batch_window_ms,
         max_batch=args.max_batch,
         timeout_s=args.timeout,
         cache_dir=False if args.no_cache else args.cache_dir,

@@ -144,12 +144,12 @@ class ConfigurationSpace:
         canonical arithmetic, so the arrays are bit-identical whatever
         ``chunk_size``, ``workers`` or checkpoint resume point is used.
 
-        ``workers`` selects the execution strategy: ``None`` (or 1) runs
-        the serial loop, an integer fans the sweep out over that many
-        supervised processes via :mod:`repro.parallel`, and ``"auto"``
-        stays serial below :data:`repro.parallel.AUTO_WORKERS_THRESHOLD`
-        configurations and uses one worker per available CPU above it.
-        All strategies produce bit-identical arrays.
+        ``workers`` selects the execution strategy: ``None``, 1 and
+        ``"auto"`` run the serial loop (the fastest strategy at every
+        quota, see :func:`repro.parallel.resolve_workers`), and an
+        integer above 1 fans the sweep out over that many supervised
+        processes via :mod:`repro.parallel`.  All strategies produce
+        bit-identical arrays.
 
         ``checkpoint`` (a :class:`repro.cache.SweepCheckpoint`) makes a
         supervised sweep flush completed spans to disk and resume from

@@ -70,7 +70,6 @@ class FleetConfig:
     #: LRU cap on warm signatures per worker (None → unbounded).
     max_warm: "int | None" = None
     max_queue: int = 64
-    batch_window_ms: float = 2.0
     max_batch: int = 32
     timeout_s: float = 30.0
     #: Space-sweep parallelism inside each shard.  Defaults to 1: the
@@ -154,7 +153,6 @@ class WorkerHandle:
                 "--quota", str(config.quota),
                 "--seed", str(config.seed),
                 "--max-queue", str(config.max_queue),
-                "--batch-window-ms", str(config.batch_window_ms),
                 "--max-batch", str(config.max_batch),
                 "--timeout", str(config.timeout_s),
                 "--sweep-workers", str(config.sweep_workers),

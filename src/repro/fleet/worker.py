@@ -257,7 +257,6 @@ class ShardWorker:
 def build_service(args: argparse.Namespace) -> PlannerService:
     config = ServiceConfig(
         max_queue_depth=args.max_queue,
-        batch_window_s=args.batch_window_ms / 1000.0,
         max_batch=args.max_batch,
         default_timeout_s=args.timeout,
         default_quota=args.quota,
@@ -293,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-warm", type=int, default=None,
                         help="LRU cap on warm signatures (default unbounded)")
     parser.add_argument("--max-queue", type=int, default=64)
-    parser.add_argument("--batch-window-ms", type=float, default=2.0)
     parser.add_argument("--max-batch", type=int, default=32)
     parser.add_argument("--timeout", type=float, default=30.0)
     parser.add_argument("--sweep-workers", type=_parse_sweep_workers,

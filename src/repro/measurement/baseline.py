@@ -15,6 +15,7 @@ Implements Section III-A's measurement protocol:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import median
 
 import numpy as np
 
@@ -129,7 +130,8 @@ def _median_elapsed(app: ElasticApplication, n_prime: float, a_prime: float,
                              config=engine_config, seed=seed + 1000 * rep)
         for rep in range(instances_per_type)
     ]
-    return float(np.median(times))
+    # Same value as np.median, which imports numpy.ma on first use.
+    return float(median(times))
 
 
 def measure_capacities(

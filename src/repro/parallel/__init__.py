@@ -28,7 +28,6 @@ often it was retried, or whether it was restored from a shard.
 
 from repro.parallel.faults import FAULT_KINDS, FaultPlan, WorkerFault
 from repro.parallel.partition import (
-    AUTO_WORKERS_THRESHOLD,
     TASKS_PER_WORKER,
     available_workers,
     missing_ranges,
@@ -46,7 +45,6 @@ from repro.parallel.supervisor import (
 )
 
 __all__ = [
-    "AUTO_WORKERS_THRESHOLD",
     "FAULT_KINDS",
     "FaultPlan",
     "SupervisorConfig",

@@ -15,17 +15,12 @@ import os
 from repro.errors import ConfigurationError
 
 __all__ = [
-    "AUTO_WORKERS_THRESHOLD",
     "available_workers",
     "resolve_workers",
     "partition_chunks",
     "partition_ranges",
     "missing_ranges",
 ]
-
-#: Below this space size ``workers="auto"`` stays serial — process pool
-#: startup (~10 ms/worker) dwarfs the sweep itself for small catalogs.
-AUTO_WORKERS_THRESHOLD = 1 << 19
 
 #: Contiguous spans handed out per worker; mild oversubscription keeps the
 #: pool busy if one worker is descheduled, and bounds how much work a
@@ -41,13 +36,15 @@ def available_workers() -> int:
         return os.cpu_count() or 1
 
 
-def resolve_workers(workers: int | str | None, size: int,
-                    *, threshold: int = AUTO_WORKERS_THRESHOLD) -> int:
+def resolve_workers(workers: int | str | None, size: int) -> int:
     """Normalize the ``workers`` knob to an explicit worker count.
 
-    ``None`` (and 1) mean serial; ``"auto"`` picks serial below
-    ``threshold`` configurations and one worker per available CPU above
-    it; an explicit integer is used as given.
+    ``None``, 1 and ``"auto"`` mean serial; an explicit integer is used
+    as given.  ``"auto"`` is serial at every size because the broadcast
+    serial sweep beats the supervised fan-out: at quota 5 (10M
+    configurations, 2 vCPUs) it takes 0.5 s against 1.35 s for two
+    workers, and no child process doubles the peak memory.  ``size`` (the
+    space size) no longer changes the answer.
     """
     if workers is None:
         return 1
@@ -56,9 +53,7 @@ def resolve_workers(workers: int | str | None, size: int,
             raise ConfigurationError(
                 f"workers must be an integer, None or 'auto', got {workers!r}"
             )
-        if size < threshold:
-            return 1
-        return min(available_workers(), max(1, size // threshold))
+        return 1
     count = int(workers)
     if count < 1:
         raise ConfigurationError("workers must be >= 1")

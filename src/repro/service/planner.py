@@ -11,12 +11,15 @@ process pays the whole chain per request.  This service keeps the chain
 
 Three serving mechanics sit on top of the warm state:
 
-* **micro-batching** — concurrent ``select`` requests that share a space
-  signature are coalesced (for at most ``batch_window_s``, up to
-  ``max_batch``) into one vectorized
+* **micro-batching** — ``select`` requests that share a space signature
+  are coalesced (up to ``max_batch``) into one vectorized
   :meth:`~repro.core.selection.FrontierIndex.select_batch` pass over the
-  structured index, whose
-  per-query results are bit-identical to individual calls;
+  structured index, whose per-query results are bit-identical to
+  individual calls.  There is no timer: a request for an idle signature
+  flushes on the next event-loop tick, together with whatever arrived in
+  the same tick, and requests that arrive while a signature's batch runs
+  queue behind it and flush when it resolves.  A lone request never
+  waits, and under load batches grow by themselves;
 * **admission control** — at most ``max_queue_depth`` requests may be
   admitted-but-unfinished; the next one is rejected immediately with
   :class:`ServiceSaturatedError` (backpressure, not an unbounded queue),
@@ -94,8 +97,6 @@ class ServiceConfig:
 
     #: Admitted-but-unfinished request cap (backpressure threshold).
     max_queue_depth: int = 64
-    #: How long a select request may wait for peers to share its batch.
-    batch_window_s: float = 0.002
     #: Hard cap on requests coalesced into one vectorized pass.
     max_batch: int = 32
     #: Entries kept in the canonical-request result cache.
@@ -122,8 +123,6 @@ class ServiceConfig:
             raise ValidationError("max_queue_depth must be >= 1")
         if self.max_batch < 1:
             raise ValidationError("max_batch must be >= 1")
-        if self.batch_window_s < 0:
-            raise ValidationError("batch_window_s must be non-negative")
         if self.result_cache_size < 0:
             raise ValidationError("result_cache_size must be non-negative")
         if self.default_timeout_s <= 0:
@@ -230,8 +229,10 @@ class PlannerService:
             lambda quota: ec2_catalog(max_nodes_per_type=quota))
         self._states: OrderedDict[SpaceSignature, _WarmState] = OrderedDict()
         self._state_locks: dict[SpaceSignature, asyncio.Lock] = {}
+        #: Select queries waiting for their signature's next batch.
         self._pending: dict[SpaceSignature, list[_PendingSelect]] = {}
-        self._flush_handles: dict[SpaceSignature, asyncio.TimerHandle] = {}
+        #: Signatures with a batch in an executor thread.
+        self._running: set[SpaceSignature] = set()
         self._result_cache: OrderedDict[str, dict] = OrderedDict()
         self._in_flight = 0
 
@@ -291,8 +292,8 @@ class PlannerService:
     def _evict_excess(self) -> None:
         """Drop least-recently-used warm states over ``max_warm_states``.
 
-        Signatures with a pending micro-batch are skipped — their flush
-        callback still needs the state — and picked up by a later
+        Signatures with a queued or running micro-batch are skipped —
+        their flush still needs the state — and picked up by a later
         eviction pass.  An evicted signature rebuilds lazily (and
         bit-identically) on its next request.
         """
@@ -301,11 +302,11 @@ class PlannerService:
             return
         while len(self._states) > limit:
             # Never the most-recent entry (the state just ensured for the
-            # caller) and never one with a pending micro-batch — its
-            # flush callback still resolves through ``self._states``.
+            # caller) and never one with a queued or running micro-batch —
+            # its next flush still resolves through ``self._states``.
             candidates = list(self._states)[:-1]
-            victim = next((s for s in candidates if s not in self._pending),
-                          None)
+            victim = next((s for s in candidates if s not in self._pending
+                           and s not in self._running), None)
             if victim is None:
                 return  # everything old is mid-batch; try again later
             del self._states[victim]
@@ -431,31 +432,34 @@ class PlannerService:
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         pending = _PendingSelect(demand, deadline_hours, budget_dollars,
                                  top, key, future)
-        batch = self._pending.setdefault(signature, [])
-        batch.append(pending)
-        if len(batch) >= self.config.max_batch:
-            self._flush(signature)
-        elif len(batch) == 1:
-            self._flush_handles[signature] = \
-                asyncio.get_running_loop().call_later(
-                    self.config.batch_window_s,
-                    self._flush, signature)
+        queue = self._pending.setdefault(signature, [])
+        queue.append(pending)
+        if len(queue) == 1 and signature not in self._running:
+            # Idle signature: flush next tick, with this tick's arrivals.
+            asyncio.get_running_loop().call_soon(self._flush, signature)
         return await future
 
     def _flush(self, signature: SpaceSignature) -> None:
-        """Move the signature's pending queries into one executor batch."""
-        handle = self._flush_handles.pop(signature, None)
-        if handle is not None:
-            handle.cancel()
-        batch = self._pending.pop(signature, [])
-        if not batch:
+        """Start the signature's next batch, unless one is running.
+
+        A batch takes at most ``max_batch`` queued queries; the rest stay
+        queued and go when it resolves.
+        """
+        queue = self._pending.get(signature)
+        if not queue or signature in self._running:
             return
+        batch = queue[:self.config.max_batch]
+        del queue[:self.config.max_batch]
+        if not queue:
+            del self._pending[signature]
+        self._running.add(signature)
         state = self._states[signature]
         self.metrics.counter("batches_total").increment()
         self.metrics.histogram("batch_size").observe(len(batch))
         loop = asyncio.get_running_loop()
         task = loop.run_in_executor(None, self._compute_batch, state, batch)
-        task.add_done_callback(lambda t: self._resolve_batch(t, batch))
+        task.add_done_callback(
+            lambda t: self._resolve_batch(signature, t, batch))
 
     def _compute_batch(self, state: _WarmState,
                        batch: list[_PendingSelect]) -> list[dict]:
@@ -468,7 +472,10 @@ class PlannerService:
         return [selection_to_dict(result, top=p.top)
                 for result, p in zip(results, batch)]
 
-    def _resolve_batch(self, task, batch: list[_PendingSelect]) -> None:
+    def _resolve_batch(self, signature: SpaceSignature, task,
+                       batch: list[_PendingSelect]) -> None:
+        self._running.discard(signature)
+        self._flush(signature)  # queries that queued behind this batch
         error = task.exception()
         payloads = None if error is not None else task.result()
         for i, p in enumerate(batch):

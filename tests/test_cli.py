@@ -46,6 +46,19 @@ class TestParser:
         assert args.max_queue == 64
         assert args.warm is None
 
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--batch-window-ms", "2"],
+        ["fleet", "serve", "--batch-window-ms", "0"],
+        ["serve", "--batch-window-ms"],
+    ])
+    def test_batch_window_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            build_parser().parse_args(argv)
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--batch-window-ms was removed" in err
+        assert "next event-loop tick" in err
+
     def test_serve_warm_repeatable(self):
         args = build_parser().parse_args(
             ["serve", "--warm", "galaxy", "--warm", "x264"])

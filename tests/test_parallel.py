@@ -14,8 +14,6 @@ from repro.cloud.catalog import make_catalog
 from repro.core.configspace import ConfigurationSpace
 from repro.errors import ConfigurationError
 from repro.parallel import (
-    AUTO_WORKERS_THRESHOLD,
-    available_workers,
     evaluate_parallel,
     partition_chunks,
     resolve_workers,
@@ -30,19 +28,11 @@ class TestResolveWorkers:
     def test_explicit_count_is_kept(self):
         assert resolve_workers(7, 10) == 7
 
-    def test_auto_is_serial_below_threshold(self):
-        assert resolve_workers("auto", AUTO_WORKERS_THRESHOLD - 1) == 1
-
-    def test_auto_parallelizes_large_spaces(self):
-        n = resolve_workers("auto", 64 * AUTO_WORKERS_THRESHOLD)
-        assert 1 <= n <= max(available_workers(), 1)
-        if available_workers() > 1:
-            assert n > 1
-
-    def test_auto_never_exceeds_useful_parallelism(self):
-        # Slightly above threshold: at most size // threshold workers.
-        assert resolve_workers("auto", AUTO_WORKERS_THRESHOLD + 1) == 1 or \
-            available_workers() == 1
+    def test_auto_is_serial_at_every_size(self):
+        # The broadcast serial sweep beats the supervised fan-out at
+        # every quota, so "auto" never starts a worker process.
+        for size in (1, 19_682, 10_077_695, 10**12):
+            assert resolve_workers("auto", size) == 1
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -147,10 +147,40 @@ class TestWarmStateEviction:
 
 
 class TestBatching:
-    def test_concurrent_requests_coalesce(self):
-        service = make_service(batch_window_s=0.05)
+    """The window-free flush rule: an idle signature flushes on the next
+    loop tick; arrivals during a running batch queue behind it."""
+
+    @staticmethod
+    def batch_sizes(service) -> tuple[int, float, float]:
+        snap = service.metrics.snapshot()
+        hist = snap["histograms"]["batch_size"]
+        return snap["counters"]["batches_total"], hist["min"], hist["max"]
+
+    def test_first_request_runs_alone_and_peers_queue_behind_it(self):
+        service = make_service(faults=ServiceFaults(compute_delay_s=0.3))
 
         async def run():
+            await service.warm("galaxy")
+            first = asyncio.create_task(service.select(
+                "galaxy", 65536.0, 2000.0, 48.0, 350.0))
+            await asyncio.sleep(0.1)  # the first batch is computing
+            peers = await asyncio.gather(*[
+                service.select("galaxy", 65536.0, 2100.0 + i, 48.0, 350.0)
+                for i in range(5)
+            ])
+            return [await first, *peers]
+
+        responses = asyncio.run(run())
+        assert all(r["kind"] == "select" and not r["cached"]
+                   for r in responses)
+        assert self.batch_sizes(service) == (2, 1.0, 5.0)
+
+    def test_concurrent_requests_coalesce(self):
+        # Requests that are ready in the same loop tick share one batch.
+        service = make_service()
+
+        async def run():
+            await service.warm("galaxy")
             return await asyncio.gather(*[
                 service.select("galaxy", 65536.0, 2000.0 + i, 48.0, 350.0)
                 for i in range(6)
@@ -158,34 +188,31 @@ class TestBatching:
 
         responses = asyncio.run(run())
         assert all(r["kind"] == "select" for r in responses)
-        snap = service.metrics.snapshot()
-        assert snap["counters"]["batches_total"] == 1
-        assert snap["histograms"]["batch_size"]["max"] == 6.0
+        assert self.batch_sizes(service) == (1, 6.0, 6.0)
 
-    def test_max_batch_flushes_without_waiting_for_window(self):
-        # A 30 s window would time the test out unless hitting max_batch
-        # flushes immediately.
-        service = make_service(batch_window_s=30.0, max_batch=2,
-                               default_timeout_s=20.0)
+    def test_max_batch_caps_a_batch(self):
+        service = make_service(max_batch=2)
 
         async def run():
-            return await asyncio.gather(
-                service.select("galaxy", 65536.0, 2000.0, 48.0, 350.0),
-                service.select("galaxy", 65536.0, 2500.0, 48.0, 350.0),
-            )
+            await service.warm("galaxy")
+            return await asyncio.gather(*[
+                service.select("galaxy", 65536.0, 2000.0 + i, 48.0, 350.0)
+                for i in range(5)
+            ])
 
         responses = asyncio.run(run())
-        assert len(responses) == 2
-        assert service.metrics.snapshot()["counters"]["batches_total"] == 1
+        assert len({r["result"]["demand_gi"] for r in responses}) == 5
+        assert self.batch_sizes(service) == (3, 1.0, 2.0)
 
     def test_batched_responses_bit_identical_to_single_query(self):
         """Acceptance criterion: a batched response equals the direct
         `select_configurations` result for the same query, bit for bit."""
-        service = make_service(batch_window_s=0.05)
+        service = make_service()
         queries = [(65536.0, 2000.0 + 137.0 * i, 48.0 - i, 350.0 - 10.0 * i)
                    for i in range(5)]
 
         async def run():
+            await service.warm("galaxy")
             return await asyncio.gather(*[
                 service.select("galaxy", n, a, t, c)
                 for n, a, t, c in queries
@@ -203,16 +230,41 @@ class TestBatching:
             assert response["result"] == selection_to_dict(direct)
 
     def test_different_signatures_do_not_share_batches(self):
-        service = make_service(batch_window_s=0.05)
+        service = make_service()
 
         async def run():
+            await service.warm("galaxy")
+            await service.warm("x264")
             return await asyncio.gather(
                 service.select("galaxy", 65536.0, 2000.0, 48.0, 350.0),
                 service.select("x264", 4096.0, 30.0, 48.0, 350.0),
+                service.select("galaxy", 65536.0, 2100.0, 48.0, 350.0),
             )
 
         asyncio.run(run())
-        assert service.metrics.snapshot()["counters"]["batches_total"] == 2
+        assert self.batch_sizes(service) == (2, 1.0, 2.0)
+
+    def test_running_batch_pins_its_warm_state(self):
+        # With one warm slot, warming x264 while galaxy's batch runs must
+        # not evict galaxy: its batch was already flushed, so only the
+        # running set protects it.
+        service = make_service(max_warm_states=1,
+                               faults=ServiceFaults(compute_delay_s=0.3))
+        galaxy = service.signature("galaxy")
+
+        async def run():
+            await service.warm("galaxy")
+            task = asyncio.create_task(service.select(
+                "galaxy", 65536.0, 2000.0, 48.0, 350.0))
+            await asyncio.sleep(0.1)
+            await service.warm("x264")
+            pinned = galaxy in service.warm_signatures
+            await task
+            await service.warm("sand")  # the next pass may evict it
+            return pinned
+
+        assert asyncio.run(run()) is True
+        assert galaxy not in service.warm_signatures
 
 
 class TestResultCache:
@@ -271,7 +323,7 @@ class TestAdmissionControl:
         request still completes within its deadline."""
         service = make_service(
             faults=ServiceFaults(compute_delay_s=0.3),
-            max_queue_depth=2, batch_window_s=0.0, max_batch=1,
+            max_queue_depth=2, max_batch=1,
             default_timeout_s=30.0)
 
         async def run():
@@ -311,7 +363,7 @@ class TestAdmissionControl:
     def test_cache_hits_bypass_admission(self):
         service = make_service(
             faults=ServiceFaults(compute_delay_s=0.3),
-            max_queue_depth=1, batch_window_s=0.0, max_batch=1)
+            max_queue_depth=1, max_batch=1)
 
         async def run():
             cached_response = await service.select("galaxy", **SELECT_ARGS)
@@ -330,7 +382,7 @@ class TestAdmissionControl:
 class TestDeadlines:
     def test_slow_compute_times_out_with_typed_error(self):
         service = make_service(faults=ServiceFaults(compute_delay_s=0.5),
-                               batch_window_s=0.0, max_batch=1)
+                               max_batch=1)
 
         async def run():
             await service.warm("galaxy")
@@ -345,7 +397,7 @@ class TestDeadlines:
 
     def test_generous_deadline_completes_despite_slowness(self):
         service = make_service(faults=ServiceFaults(compute_delay_s=0.1),
-                               batch_window_s=0.0, max_batch=1)
+                               max_batch=1)
 
         async def run():
             return await service.select("galaxy", timeout_s=20.0,

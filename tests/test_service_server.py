@@ -171,8 +171,7 @@ class TestErrorMapping:
 
     def test_saturated_maps_to_typed_client_error(self):
         service = make_service(faults=ServiceFaults(compute_delay_s=0.4),
-                               max_queue_depth=1, batch_window_s=0.0,
-                               max_batch=1)
+                               max_queue_depth=1, max_batch=1)
 
         async def run():
             server = serve_in_process(service)
