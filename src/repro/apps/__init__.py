@@ -24,45 +24,20 @@ Each application object bundles:
   computations demonstrating the elasticity on actual code.
 """
 
-from repro.apps.demand import (
-    DemandTerm,
-    ConstantTerm,
-    LinearTerm,
-    AffineTerm,
-    QuadraticTerm,
-    PowerTerm,
-    LogTerm,
-    SeparableDemand,
-)
-from repro.apps.base import (
-    ElasticApplication,
-    ExecutionStyle,
-    PerformanceProfile,
-    Workload,
-)
-from repro.apps.x264 import X264App
-from repro.apps.galaxy import GalaxyApp
-from repro.apps.sand import SandApp
-from repro.apps.synthetic import SyntheticApp
-from repro.apps.registry import paper_applications, application_by_name
+from repro._lazy import attach
 
-__all__ = [
-    "DemandTerm",
-    "ConstantTerm",
-    "LinearTerm",
-    "AffineTerm",
-    "QuadraticTerm",
-    "PowerTerm",
-    "LogTerm",
-    "SeparableDemand",
-    "ElasticApplication",
-    "ExecutionStyle",
-    "PerformanceProfile",
-    "Workload",
-    "X264App",
-    "GalaxyApp",
-    "SandApp",
-    "SyntheticApp",
-    "paper_applications",
-    "application_by_name",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.apps.demand": [
+        "DemandTerm", "ConstantTerm", "LinearTerm", "AffineTerm",
+        "QuadraticTerm", "PowerTerm", "LogTerm", "SeparableDemand",
+    ],
+    "repro.apps.base": [
+        "ElasticApplication", "ExecutionStyle", "PerformanceProfile",
+        "Workload",
+    ],
+    "repro.apps.x264": ["X264App"],
+    "repro.apps.galaxy": ["GalaxyApp"],
+    "repro.apps.sand": ["SandApp"],
+    "repro.apps.synthetic": ["SyntheticApp"],
+    "repro.apps.registry": ["paper_applications", "application_by_name"],
+})

@@ -16,36 +16,20 @@ harness (:mod:`repro.measurement.perf`) can attach real, measured
 demand-vs-parameter curves to the reproduction (small scales only).
 """
 
-from repro.apps.kernels.nbody import NBodySystem, simulate_nbody, NBodyResult
-from repro.apps.kernels.barneshut import (
-    BarnesHutResult,
-    barnes_hut_accelerations,
-)
-from repro.apps.kernels.encoder import (
-    EncodeResult,
-    MotionEncodeResult,
-    encode_frame_pair,
-    encode_image,
-    synthetic_frames,
-)
-from repro.apps.kernels.align import (
-    AlignmentResult,
-    assemble_candidates,
-    synthetic_reads,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "NBodySystem",
-    "simulate_nbody",
-    "NBodyResult",
-    "BarnesHutResult",
-    "barnes_hut_accelerations",
-    "encode_image",
-    "encode_frame_pair",
-    "EncodeResult",
-    "MotionEncodeResult",
-    "synthetic_frames",
-    "AlignmentResult",
-    "assemble_candidates",
-    "synthetic_reads",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.apps.kernels.nbody": [
+        "NBodySystem", "simulate_nbody", "NBodyResult",
+    ],
+    "repro.apps.kernels.barneshut": [
+        "BarnesHutResult", "barnes_hut_accelerations",
+    ],
+    "repro.apps.kernels.encoder": [
+        "encode_image", "encode_frame_pair", "EncodeResult",
+        "MotionEncodeResult", "synthetic_frames",
+    ],
+    "repro.apps.kernels.align": [
+        "AlignmentResult", "assemble_candidates", "synthetic_reads",
+    ],
+})

@@ -16,21 +16,13 @@ implements the alternatives so both claims can be quantified:
   baseline's optimality gap against the exhaustive optimum.
 """
 
-from repro.baselines.specbound import spec_capacities, spec_prediction_error
-from repro.baselines.random_search import random_search_min_cost
-from repro.baselines.greedy import greedy_min_cost
-from repro.baselines.hillclimb import hillclimb_min_cost
-from repro.baselines.autoscale import AutoscaleOutcome, simulate_autoscaler
-from repro.baselines.comparison import BaselineOutcome, compare_baselines
+from repro._lazy import attach
 
-__all__ = [
-    "spec_capacities",
-    "spec_prediction_error",
-    "random_search_min_cost",
-    "greedy_min_cost",
-    "hillclimb_min_cost",
-    "AutoscaleOutcome",
-    "simulate_autoscaler",
-    "BaselineOutcome",
-    "compare_baselines",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.baselines.specbound": ["spec_capacities", "spec_prediction_error"],
+    "repro.baselines.random_search": ["random_search_min_cost"],
+    "repro.baselines.greedy": ["greedy_min_cost"],
+    "repro.baselines.hillclimb": ["hillclimb_min_cost"],
+    "repro.baselines.autoscale": ["AutoscaleOutcome", "simulate_autoscaler"],
+    "repro.baselines.comparison": ["BaselineOutcome", "compare_baselines"],
+})

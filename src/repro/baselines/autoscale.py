@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cloud.catalog import Catalog
+from repro.core.sweepkernel import canonical_sums
 from repro.errors import ValidationError
 from repro.units import SECONDS_PER_HOUR
 from repro.utils.rng import derive_rng
@@ -128,17 +129,19 @@ def simulate_autoscaler(
         history.append(tuple(int(v) for v in config))
         peak = max(peak, int(config.sum()))
 
-        rate = float(config @ capacities)
+        row = config[None, :]
+        rate = float(canonical_sums(row, capacities)[0])
+        unit_cost = float(canonical_sums(row, catalog.prices)[0])
         jitter = rng.lognormal(0.0, jitter_sigma) if jitter_sigma else 1.0
         work_done = rate * jitter * epoch_hours * SECONDS_PER_HOUR
         if work_done >= remaining:
             # Partial epoch; EC2 2017 still bills the full hour.
             fraction = remaining / work_done
             now += fraction * epoch_hours
-            cost += float(config @ catalog.prices) * np.ceil(epoch_hours)
+            cost += unit_cost * np.ceil(epoch_hours)
             remaining = 0.0
         else:
             remaining -= work_done
             now += epoch_hours
-            cost += float(config @ catalog.prices) * epoch_hours
+            cost += unit_cost * epoch_hours
     raise ValidationError("autoscaler exceeded max_epochs — check inputs")

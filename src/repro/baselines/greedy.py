@@ -13,7 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cloud.catalog import Catalog
+from repro.core.costmodel import canonical_cost
 from repro.core.optimizer import OptimizerAnswer
+from repro.core.sweepkernel import canonical_sums
 from repro.errors import InfeasibleError, ValidationError
 from repro.units import SECONDS_PER_HOUR
 
@@ -39,12 +41,13 @@ def greedy_min_cost(
     order = np.argsort(efficiency)[::-1]  # best GI/s per dollar first
 
     config = np.zeros(len(catalog), dtype=np.int64)
+    row = config[None, :]  # a view: Eq. 3 of the growing configuration
     total_capacity = 0.0
     for type_index in order:
         quota = catalog.quotas[type_index]
         while config[type_index] < quota and total_capacity < required:
             config[type_index] += 1
-            total_capacity += capacities[type_index]
+            total_capacity = float(canonical_sums(row, capacities)[0])
         if total_capacity >= required:
             break
     if total_capacity < required:
@@ -54,12 +57,12 @@ def greedy_min_cost(
             deadline_hours=deadline_hours,
         )
 
-    unit_cost = float(config @ prices)
+    unit_cost = float(canonical_sums(row, prices)[0])
     time_h = demand_gi / total_capacity / SECONDS_PER_HOUR
     return OptimizerAnswer(
         configuration=tuple(int(v) for v in config),
         time_hours=time_h,
-        cost_dollars=time_h * unit_cost,
+        cost_dollars=canonical_cost(demand_gi, total_capacity, unit_cost),
         capacity_gips=total_capacity,
         unit_cost_per_hour=unit_cost,
     )

@@ -16,21 +16,27 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cloud.catalog import Catalog
+from repro.core.costmodel import canonical_cost
 from repro.core.optimizer import OptimizerAnswer
+from repro.core.sweepkernel import canonical_sums
 from repro.errors import InfeasibleError, ValidationError
 from repro.units import SECONDS_PER_HOUR
 
 __all__ = ["hillclimb_min_cost"]
 
 
-def _evaluate(config: np.ndarray, capacities: np.ndarray, prices: np.ndarray,
-              demand_gi: float) -> tuple[float, float]:
-    """(time_hours, cost) of one configuration."""
-    capacity = float(config @ capacities)
-    if capacity == 0:
-        return float("inf"), float("inf")
-    time_h = demand_gi / capacity / SECONDS_PER_HOUR
-    return time_h, time_h * float(config @ prices)
+def _evaluate(configs: np.ndarray, capacities: np.ndarray, prices: np.ndarray,
+              demand_gi: float) -> tuple[np.ndarray, np.ndarray]:
+    """(time_hours, cost) of each configuration row, as Algorithm 1
+    computes them; ``inf`` for an empty configuration."""
+    capacity = canonical_sums(configs, capacities)
+    unit_cost = canonical_sums(configs, prices)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        time_h = demand_gi / capacity / SECONDS_PER_HOUR
+        cost = canonical_cost(demand_gi, capacity, unit_cost)
+    empty = capacity == 0
+    time_h[empty] = cost[empty] = np.inf
+    return time_h, cost
 
 
 def _neighbors(config: np.ndarray, quotas: np.ndarray):
@@ -79,18 +85,20 @@ def hillclimb_min_cost(
     for _ in range(restarts):
         # Start from a random feasible point; fall back to the full quota.
         current = rng.integers(0, quotas + 1, size=len(catalog))
-        t, _ = _evaluate(current, capacities, prices, demand_gi)
+        (t,), (current_cost,) = _evaluate(current[None, :], capacities,
+                                          prices, demand_gi)
         if not (t < deadline_hours):
             current = quotas.copy()
-            t, _ = _evaluate(current, capacities, prices, demand_gi)
+            (t,), (current_cost,) = _evaluate(current[None, :], capacities,
+                                              prices, demand_gi)
             if not (t < deadline_hours):
                 continue  # even the full space cannot meet the deadline
-        _, current_cost = _evaluate(current, capacities, prices, demand_gi)
 
         for _ in range(max_steps):
             improved = False
-            for cand in _neighbors(current, quotas):
-                t, c = _evaluate(cand, capacities, prices, demand_gi)
+            cands = np.array(list(_neighbors(current, quotas)))
+            times, costs = _evaluate(cands, capacities, prices, demand_gi)
+            for cand, t, c in zip(cands, times.tolist(), costs.tolist()):
                 if t < deadline_hours and c < current_cost - 1e-12:
                     current, current_cost = cand, c
                     improved = True
@@ -105,11 +113,13 @@ def hillclimb_min_cost(
             "no feasible configuration found from any restart",
             deadline_hours=deadline_hours,
         )
-    time_h, cost = _evaluate(best_config, capacities, prices, demand_gi)
+    row = best_config[None, :]
+    capacity = float(canonical_sums(row, capacities)[0])
+    unit_cost = float(canonical_sums(row, prices)[0])
     return OptimizerAnswer(
         configuration=tuple(int(v) for v in best_config),
-        time_hours=time_h,
-        cost_dollars=cost,
-        capacity_gips=float(best_config @ capacities),
-        unit_cost_per_hour=float(best_config @ prices),
+        time_hours=demand_gi / capacity / SECONDS_PER_HOUR,
+        cost_dollars=canonical_cost(demand_gi, capacity, unit_cost),
+        capacity_gips=capacity,
+        unit_cost_per_hour=unit_cost,
     )

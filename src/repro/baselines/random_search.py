@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.cloud.catalog import Catalog
 from repro.core.capacity import configuration_capacity
-from repro.core.costmodel import configuration_unit_cost
+from repro.core.costmodel import canonical_cost, configuration_unit_cost
 from repro.core.optimizer import OptimizerAnswer
 from repro.errors import InfeasibleError, ValidationError
 from repro.units import SECONDS_PER_HOUR
@@ -51,7 +51,7 @@ def random_search_min_cost(
     capacity = configuration_capacity(samples, capacities_gips)
     unit_cost = configuration_unit_cost(samples, catalog.prices)
     times = demand_gi / capacity / SECONDS_PER_HOUR
-    costs = times * unit_cost
+    costs = canonical_cost(demand_gi, capacity, unit_cost)
     feasible = times < deadline_hours
     if not feasible.any():
         raise InfeasibleError(

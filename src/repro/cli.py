@@ -52,15 +52,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from repro.apps import application_by_name
-from repro.cloud.catalog import ec2_catalog
-from repro.core.celia import Celia
-from repro.core.planner import max_accuracy_plan, max_problem_size_plan
-from repro.engine.runner import run_on_configuration
 from repro.errors import InfeasibleError, ReproError
-from repro.utils.mathutil import percent_error
-from repro.utils.tables import TextTable
+
+if TYPE_CHECKING:
+    from repro.core.celia import Celia
 
 __all__ = ["build_parser", "main"]
 
@@ -77,6 +74,22 @@ def package_version() -> str:
         from repro import __version__
 
         return __version__
+
+
+class _VersionAction(argparse.Action):
+    """``--version``, resolved only when given: looking the installed
+    version up loads ``importlib.metadata`` and scans the install paths,
+    which every other command would pay at start-up."""
+
+    def __init__(self, option_strings, dest=argparse.SUPPRESS,
+                 default=argparse.SUPPRESS,
+                 help="show program's version number and exit"):
+        super().__init__(option_strings, dest=dest, default=default,
+                         nargs=0, help=help)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(f"{parser.prog} {package_version()}")
+        parser.exit()
 
 
 def _parse_workers(raw: str) -> "int | str":
@@ -114,8 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cost-time optimal cloud configurations for elastic "
                     "applications (CELIA, ICPP 2017).",
     )
-    parser.add_argument("--version", action="version",
-                        version=f"%(prog)s {package_version()}")
+    parser.add_argument("--version", action=_VersionAction)
     parser.add_argument("--seed", type=int, default=0,
                         help="measurement seed (default 0)")
     parser.add_argument("--quota", type=int, default=5,
@@ -471,8 +483,17 @@ def _parse_range(raw: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _app(celia: Celia, name: str):
+    """The named paper application, seeded like ``celia``."""
+    from repro.apps import application_by_name
+
+    return application_by_name(name, seed=celia.seed)
+
+
 def _cmd_characterize(celia: Celia, args) -> int:
-    app = application_by_name(args.app, seed=celia.seed)
+    from repro.utils.tables import TextTable
+
+    app = _app(celia, args.app)
     celia.characterization_method = args.method
     fitted = celia.demand_model(app)
     print(fitted.describe())
@@ -491,7 +512,9 @@ def _cmd_characterize(celia: Celia, args) -> int:
 
 
 def _cmd_select(celia: Celia, args) -> int:
-    app = application_by_name(args.app, seed=celia.seed)
+    from repro.utils.tables import TextTable
+
+    app = _app(celia, args.app)
     result = celia.select(app, args.n, args.a, args.deadline, args.budget)
     if args.json:
         from repro.service.serialize import selection_to_dict
@@ -517,7 +540,7 @@ def _cmd_select(celia: Celia, args) -> int:
 
 
 def _cmd_predict(celia: Celia, args) -> int:
-    app = application_by_name(args.app, seed=celia.seed)
+    app = _app(celia, args.app)
     config = _parse_config(args.config, len(celia.catalog))
     pred = celia.predict(app, args.n, args.a, config)
     if args.json:
@@ -534,7 +557,9 @@ def _cmd_predict(celia: Celia, args) -> int:
 
 
 def _cmd_plan(celia: Celia, args) -> int:
-    app = application_by_name(args.app, seed=celia.seed)
+    from repro.core.planner import max_accuracy_plan, max_problem_size_plan
+
+    app = _app(celia, args.app)
     demand = celia.demand_model(app)
     index = celia.min_cost_index(app)
     knob_range = _parse_range(args.range)
@@ -556,7 +581,10 @@ def _cmd_plan(celia: Celia, args) -> int:
 
 
 def _cmd_validate(celia: Celia, args) -> int:
-    app = application_by_name(args.app, seed=celia.seed)
+    from repro.engine.runner import run_on_configuration
+    from repro.utils.mathutil import percent_error
+
+    app = _app(celia, args.app)
     config = _parse_config(args.config, len(celia.catalog))
     pred = celia.predict(app, args.n, args.a, config)
     report = run_on_configuration(app, args.n, args.a, config, celia.catalog,
@@ -578,6 +606,7 @@ def _cmd_execute(celia: Celia, args) -> int:
         RuntimeConfig,
         chaos_scenario,
     )
+    from repro.utils.tables import TextTable
 
     if args.list_chaos:
         table = TextTable(
@@ -599,7 +628,7 @@ def _cmd_execute(celia: Celia, args) -> int:
     if args.deadline is None or args.budget is None:
         raise SystemExit("execute needs --deadline and --budget")
 
-    app = application_by_name(args.app, seed=celia.seed)
+    app = _app(celia, args.app)
     overrides = {"replan": args.replan}
     if args.max_replans is not None:
         overrides["max_replans"] = args.max_replans
@@ -655,6 +684,7 @@ def _cmd_market(celia: Celia, args) -> int:
     from repro.market import SpotMarket, bid_policy, bid_policy_names
     from repro.runtime import chaos_scenario
     from repro.utils.rng import spawn_seed
+    from repro.utils.tables import TextTable
 
     if args.market_command == "policies":
         rows = [(name, bid_policy(name).describe())
@@ -694,7 +724,7 @@ def _cmd_market(celia: Celia, args) -> int:
 def _cmd_spot(celia: Celia, args) -> int:
     from repro.spot import compare_spot_vs_ondemand
 
-    app = application_by_name(args.app, seed=celia.seed)
+    app = _app(celia, args.app)
     demand = celia.demand_gi(app, args.n, args.a)
     ondemand = celia.min_cost_index(app).query(demand, args.deadline)
     study = compare_spot_vs_ondemand(
@@ -713,7 +743,7 @@ def _cmd_sweep(celia: Celia, args) -> int:
         print("sweep persists artefacts and needs the cache; "
               "drop --no-cache", file=sys.stderr)
         return 2
-    app = application_by_name(args.app, seed=celia.seed)
+    app = _app(celia, args.app)
     capacities = celia.capacities(app)
     if cache.load(celia.space, capacities) is not None:
         from repro.cache import evaluation_cache_key
@@ -767,6 +797,8 @@ def _cmd_sweep(celia: Celia, args) -> int:
 def _cmd_snapshot(celia: Celia, args) -> int:
     import time
 
+    from repro.utils.tables import TextTable
+
     cache = celia.evaluation_cache
     if cache is None:  # snapshots live in the cache directory
         print("snapshots live in the persistent cache; drop --no-cache",
@@ -797,7 +829,7 @@ def _cmd_snapshot(celia: Celia, args) -> int:
     from repro.cache import evaluation_cache_key
     from repro.core.selection import DEFAULT_FEASIBILITY_BLOCK, FrontierIndex
 
-    app = application_by_name(args.app, seed=celia.seed)
+    app = _app(celia, args.app)
     capacities = celia.capacities(app)
     block_size = args.block_size or DEFAULT_FEASIBILITY_BLOCK
     t0 = time.perf_counter()
@@ -831,6 +863,8 @@ def _cmd_snapshot(celia: Celia, args) -> int:
 
 
 def _cmd_cache(celia: Celia, args) -> int:
+    from repro.utils.tables import TextTable
+
     cache = celia.evaluation_cache
     if cache is None:  # --no-cache with the cache command is a user error
         print("persistent cache is disabled (--no-cache)", file=sys.stderr)
@@ -879,6 +913,7 @@ def _cmd_cache(celia: Celia, args) -> int:
 
 def _cmd_trace(_celia: "Celia | None", args) -> int:
     from repro.obs import export_chrome_trace, read_trace, trace_summary
+    from repro.utils.tables import TextTable
 
     if args.trace_command == "export":
         output = args.output or f"{args.input}.chrome.json"
@@ -951,15 +986,20 @@ def _cmd_serve(celia: Celia, args) -> int:
 
 
 def _cmd_fleet(celia: Celia, args) -> int:
-    from repro.fleet import (FleetConfig, fleet_chaos_names,
-                             fleet_chaos_plan, run_fleet)
+    # The fleet front end serves HTTP only and loads no numpy; the chaos
+    # tooling (seeded through numpy) is imported only when asked for.
+    from repro.fleet.supervisor import FleetConfig, run_fleet
 
     if args.list_chaos:
+        from repro.fleet.chaos import fleet_chaos_names
+
         for name in fleet_chaos_names():
             print(name)
         return 0
     chaos_plan = None
     if args.chaos is not None:
+        from repro.fleet.chaos import fleet_chaos_plan
+
         chaos_plan = fleet_chaos_plan(args.chaos,
                                       workers=args.fleet_workers,
                                       seed=args.chaos_seed)
@@ -1164,6 +1204,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command in _OFFLINE_COMMANDS:
             return _COMMANDS[args.command](None, args)
+        from repro.cloud.catalog import ec2_catalog
+        from repro.core.celia import Celia
+
         celia = Celia(
             ec2_catalog(max_nodes_per_type=args.quota),
             seed=args.seed,

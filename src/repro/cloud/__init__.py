@@ -8,42 +8,19 @@ virtualization effects (overhead, processor sharing between tenants) that
 make the paper's validation errors non-zero.
 """
 
-from repro.cloud.instance import (
-    InstanceType,
-    Instance,
-    ResourceCategory,
-    StorageKind,
-)
-from repro.cloud.catalog import Catalog, ec2_catalog, make_catalog
-from repro.cloud.pricing import (
-    BillingModel,
-    LinearBilling,
-    HourlyQuantizedBilling,
-    PerSecondBilling,
-    SpotPriceProcess,
-)
-from repro.cloud.virtualization import VirtualizationModel
-from repro.cloud.faults import ProvisioningFaultModel
-from repro.cloud.provider import CloudProvider, Lease
-from repro.cloud.billing import BillingLedger, LedgerEntry
+from repro._lazy import attach
 
-__all__ = [
-    "InstanceType",
-    "Instance",
-    "ResourceCategory",
-    "StorageKind",
-    "Catalog",
-    "ec2_catalog",
-    "make_catalog",
-    "BillingModel",
-    "LinearBilling",
-    "HourlyQuantizedBilling",
-    "PerSecondBilling",
-    "SpotPriceProcess",
-    "VirtualizationModel",
-    "ProvisioningFaultModel",
-    "CloudProvider",
-    "Lease",
-    "BillingLedger",
-    "LedgerEntry",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.cloud.instance": [
+        "InstanceType", "Instance", "ResourceCategory", "StorageKind",
+    ],
+    "repro.cloud.catalog": ["Catalog", "ec2_catalog", "make_catalog"],
+    "repro.cloud.pricing": [
+        "BillingModel", "LinearBilling", "HourlyQuantizedBilling",
+        "PerSecondBilling", "SpotPriceProcess",
+    ],
+    "repro.cloud.virtualization": ["VirtualizationModel"],
+    "repro.cloud.faults": ["ProvisioningFaultModel"],
+    "repro.cloud.provider": ["CloudProvider", "Lease"],
+    "repro.cloud.billing": ["BillingLedger", "LedgerEntry"],
+})

@@ -17,77 +17,36 @@ fixed-time scaling (:mod:`~repro.core.scaling`) and deadline tightening
 facade wires the full Figure 1 pipeline together.
 """
 
-from repro.core.capacity import (
-    capacity_per_type,
-    configuration_capacity,
-    capacity_from_per_vcpu,
-)
-from repro.core.timemodel import predict_time_hours, predict_time_seconds
-from repro.core.costmodel import configuration_unit_cost, predict_cost
-from repro.core.configspace import ConfigurationSpace, SpaceEvaluation
-from repro.core.selection import (
-    FrontierIndex,
-    ParetoPoint,
-    SelectionResult,
-    StructuredIndex,
-    select_configurations,
-    select_configurations_batch,
-)
-from repro.core.characterization import (
-    CharacterizationResult,
-    TypeCharacterization,
-    characterize_resources,
-)
-from repro.core.optimizer import MinCostIndex, MinTimeIndex, OptimizerAnswer
-from repro.core.scaling import ScalingCurve, fixed_time_scaling
-from repro.core.deadline import DeadlineStudy, deadline_tightening_study
-from repro.core.planner import Plan, max_accuracy_plan, max_problem_size_plan
-from repro.core.robust import (
-    MarginSelection,
-    MissEstimate,
-    calibrate_margin,
-    deadline_miss_probability,
-    select_with_margin,
-)
-from repro.core.sensitivity import SensitivityResult, capacity_sensitivity
-from repro.core.celia import Celia, Prediction
+from repro._lazy import attach
 
-__all__ = [
-    "capacity_per_type",
-    "configuration_capacity",
-    "capacity_from_per_vcpu",
-    "predict_time_hours",
-    "predict_time_seconds",
-    "configuration_unit_cost",
-    "predict_cost",
-    "ConfigurationSpace",
-    "SpaceEvaluation",
-    "FrontierIndex",
-    "StructuredIndex",
-    "ParetoPoint",
-    "SelectionResult",
-    "select_configurations",
-    "select_configurations_batch",
-    "CharacterizationResult",
-    "TypeCharacterization",
-    "characterize_resources",
-    "MinCostIndex",
-    "MinTimeIndex",
-    "OptimizerAnswer",
-    "ScalingCurve",
-    "fixed_time_scaling",
-    "DeadlineStudy",
-    "deadline_tightening_study",
-    "Plan",
-    "max_accuracy_plan",
-    "max_problem_size_plan",
-    "MarginSelection",
-    "MissEstimate",
-    "select_with_margin",
-    "deadline_miss_probability",
-    "calibrate_margin",
-    "SensitivityResult",
-    "capacity_sensitivity",
-    "Celia",
-    "Prediction",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.core.capacity": [
+        "capacity_per_type", "configuration_capacity",
+        "capacity_from_per_vcpu",
+    ],
+    "repro.core.timemodel": ["predict_time_hours", "predict_time_seconds"],
+    "repro.core.costmodel": ["configuration_unit_cost", "predict_cost"],
+    "repro.core.configspace": ["ConfigurationSpace", "SpaceEvaluation"],
+    "repro.core.selection": [
+        "FrontierIndex", "StructuredIndex", "ParetoPoint", "SelectionResult",
+        "select_configurations", "select_configurations_batch",
+    ],
+    "repro.core.characterization": [
+        "CharacterizationResult", "TypeCharacterization",
+        "characterize_resources",
+    ],
+    "repro.core.optimizer": [
+        "MinCostIndex", "MinTimeIndex", "OptimizerAnswer",
+    ],
+    "repro.core.scaling": ["ScalingCurve", "fixed_time_scaling"],
+    "repro.core.deadline": ["DeadlineStudy", "deadline_tightening_study"],
+    "repro.core.planner": [
+        "Plan", "max_accuracy_plan", "max_problem_size_plan",
+    ],
+    "repro.core.robust": [
+        "MarginSelection", "MissEstimate", "select_with_margin",
+        "deadline_miss_probability", "calibrate_margin",
+    ],
+    "repro.core.sensitivity": ["SensitivityResult", "capacity_sensitivity"],
+    "repro.core.celia": ["Celia", "Prediction"],
+})

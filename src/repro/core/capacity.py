@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.sweepkernel import canonical_sums
 from repro.errors import ValidationError
 
 __all__ = ["capacity_from_per_vcpu", "capacity_per_type", "configuration_capacity"]
@@ -37,9 +38,11 @@ def configuration_capacity(configurations: np.ndarray,
                            capacities_gips: np.ndarray) -> np.ndarray:
     """Eq. 3: total capacity ``U_j`` of each configuration row (GI/s).
 
-    ``configurations`` is an (S, M) node-count matrix (any integer dtype);
-    the product is one matrix–vector multiply — the hot path for the
-    10M-configuration spaces, so no Python-level loops.
+    ``configurations`` is an (S, M) node-count matrix (any integer dtype).
+    Each row is reduced in the canonical arithmetic of
+    :func:`~repro.core.sweepkernel.canonical_sums`, so a row's ``U`` is
+    the value Algorithm 1 and :meth:`~repro.core.celia.Celia.predict`
+    compute for that configuration, bit for bit.
     """
     w = capacity_per_type(capacities_gips)
     configs = np.asarray(configurations)
@@ -52,4 +55,4 @@ def configuration_capacity(configurations: np.ndarray,
         )
     if np.any(configs < 0):
         raise ValidationError("node counts must be non-negative")
-    return configs @ w
+    return canonical_sums(configs, w)

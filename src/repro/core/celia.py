@@ -33,6 +33,7 @@ from repro.core.characterization import (
     characterize_resources,
 )
 from repro.core.configspace import ConfigurationSpace, SpaceEvaluation
+from repro.core.costmodel import canonical_cost
 from repro.core.optimizer import MinCostIndex, MinTimeIndex, OptimizerAnswer
 from repro.core.selection import (
     SelectionResult,
@@ -282,7 +283,7 @@ class Celia:
             capacity_gips=capacity,
             unit_cost_per_hour=unit_cost,
             time_hours=demand / capacity / SECONDS_PER_HOUR,
-            cost_dollars=demand * (unit_cost / capacity) / SECONDS_PER_HOUR,
+            cost_dollars=canonical_cost(demand, capacity, unit_cost),
         )
 
     def memory_infeasible_types(self, app: ElasticApplication,

@@ -21,7 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cloud.catalog import Catalog
+from repro.core.capacity import capacity_per_type
+from repro.core.sweepkernel import frontier_candidates_from_values, outer_sums
 from repro.errors import ConfigurationError
+from repro.obs.trace import get_tracer
+from repro.parallel.partition import resolve_workers
 
 __all__ = ["ConfigurationSpace", "SpaceEvaluation"]
 
@@ -165,14 +169,10 @@ class ConfigurationSpace:
         few hundred rows instead of a second full pass over the space.
         The candidate harvest never changes the evaluation arrays.
         """
-        from repro.obs.trace import get_tracer
-
         if chunk_size < 1:
             raise ConfigurationError("chunk size must be >= 1")
         n_workers = 1
         if workers is not None:
-            from repro.parallel import resolve_workers
-
             n_workers = resolve_workers(workers, self.size)
         if n_workers > 1 or (checkpoint is not None
                              and checkpoint.has_shards()):
@@ -190,12 +190,6 @@ class ConfigurationSpace:
                 object.__setattr__(evaluation, "_frontier_candidates",
                                    stats.frontier_candidates)
             return evaluation
-        from repro.core.capacity import capacity_per_type
-        from repro.core.sweepkernel import (
-            frontier_candidates_from_values,
-            outer_sums,
-        )
-
         span_name = "sweep.fused" if collect_candidates else "sweep.serial"
         with get_tracer().span(span_name,
                                {"size": self.size,

@@ -11,14 +11,20 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.sweepkernel import canonical_sums
 from repro.errors import ValidationError
+from repro.units import SECONDS_PER_HOUR
 
-__all__ = ["configuration_unit_cost", "predict_cost"]
+__all__ = ["canonical_cost", "configuration_unit_cost", "predict_cost"]
 
 
 def configuration_unit_cost(configurations: np.ndarray,
                             prices_per_hour: np.ndarray) -> np.ndarray:
-    """Eq. 6: hourly cost ``C_{j,u}`` of each configuration row ($/h)."""
+    """Eq. 6: hourly cost ``C_{j,u}`` of each configuration row ($/h).
+
+    Rows are reduced in the canonical arithmetic of
+    :func:`~repro.core.sweepkernel.canonical_sums`, as Algorithm 1 does.
+    """
     prices = np.asarray(prices_per_hour, dtype=np.float64)
     if prices.ndim != 1 or np.any(prices <= 0) or np.any(~np.isfinite(prices)):
         raise ValidationError("prices must be a 1-D positive vector")
@@ -32,7 +38,7 @@ def configuration_unit_cost(configurations: np.ndarray,
         )
     if np.any(configs < 0):
         raise ValidationError("node counts must be non-negative")
-    return configs @ prices
+    return canonical_sums(configs, prices)
 
 
 def predict_cost(time_hours: float | np.ndarray,
@@ -44,3 +50,17 @@ def predict_cost(time_hours: float | np.ndarray,
         raise ValidationError("time and unit cost must be non-negative")
     result = t * cu
     return float(result) if result.ndim == 0 else result
+
+
+def canonical_cost(demand_gi: float | np.ndarray,
+                   capacity_gips: float | np.ndarray,
+                   unit_cost_per_hour: float | np.ndarray
+                   ) -> float | np.ndarray:
+    """Eq. 5 from demand, ``U`` and ``C_u`` as Algorithm 1 computes it.
+
+    ``fl(fl(D·fl(C_u/U))/3600)``: the cost of a
+    :class:`~repro.core.selection.ParetoPoint` and of
+    :meth:`~repro.core.celia.Celia.predict`, bit for bit.  Broadcasts
+    over arrays; no validation (callers pass positive capacities).
+    """
+    return demand_gi * (unit_cost_per_hour / capacity_gips) / SECONDS_PER_HOUR

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.configspace import SpaceEvaluation
+from repro.core.costmodel import canonical_cost
 from repro.errors import InfeasibleError, ValidationError
 from repro.units import SECONDS_PER_HOUR
 
@@ -91,7 +92,7 @@ class MinCostIndex:
         capacity = float(self.evaluation.capacity_gips[row])
         unit_cost = float(self.evaluation.unit_cost_per_hour[row])
         time_h = demand_gi / capacity / SECONDS_PER_HOUR
-        cost = time_h * unit_cost
+        cost = canonical_cost(demand_gi, capacity, unit_cost)
         if budget_dollars is not None and cost >= budget_dollars:
             raise InfeasibleError(
                 f"cheapest deadline-meeting configuration costs "
@@ -163,7 +164,7 @@ class MinTimeIndex:
         capacity = float(self.evaluation.capacity_gips[row])
         unit_cost = float(self.evaluation.unit_cost_per_hour[row])
         time_h = demand_gi / capacity / SECONDS_PER_HOUR
-        cost = time_h * unit_cost
+        cost = canonical_cost(demand_gi, capacity, unit_cost)
         if deadline_hours is not None and time_h >= deadline_hours:
             raise InfeasibleError(
                 f"fastest budget-fitting configuration needs "

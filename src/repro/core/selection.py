@@ -104,6 +104,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro.core.capacity import capacity_per_type
 from repro.core.configspace import DEFAULT_CHUNK, ConfigurationSpace, SpaceEvaluation
 from repro.core.sweepkernel import (
     canonical_sums,
@@ -112,6 +113,8 @@ from repro.core.sweepkernel import (
     outer_sums,
 )
 from repro.errors import ValidationError
+from repro.obs.trace import get_tracer
+from repro.pareto.epsilon import eps_sort
 from repro.pareto.frontier import pareto_mask_2d
 from repro.units import SECONDS_PER_HOUR
 
@@ -269,8 +272,6 @@ def _materialize(
     if all_rows.size == 0:
         return []
     if epsilons is not None:
-        from repro.pareto.epsilon import eps_sort
-
         points = np.column_stack([all_t, all_c])
         _, kept_tags = eps_sort(points, epsilons=list(epsilons),
                                 tags=list(range(all_t.size)))
@@ -335,8 +336,6 @@ class FrontierIndex:
         # pass over the value arrays recovers them.  Either way
         # the final merge yields the identical frontier (the Pareto set
         # of any candidate superset of the frontier is the frontier).
-        from repro.obs.trace import get_tracer
-
         fused = candidates is not None
         with get_tracer().span("frontier.build",
                                {"fused": fused}) as span:
@@ -599,9 +598,6 @@ class StructuredIndex(FrontierIndex):
     def __init__(self, space: ConfigurationSpace,
                  capacities_gips: np.ndarray,
                  *, excluded_types: "Sequence[int]" = ()):
-        from repro.core.capacity import capacity_per_type
-        from repro.obs.trace import get_tracer
-
         weights = capacity_per_type(capacities_gips)
         if weights.size != len(space.catalog):
             raise ValidationError("one capacity per catalog type is needed")

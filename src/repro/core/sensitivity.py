@@ -26,7 +26,7 @@ import numpy as np
 from repro.cloud.catalog import Catalog
 from repro.core.capacity import configuration_capacity
 from repro.core.configspace import ConfigurationSpace
-from repro.core.costmodel import configuration_unit_cost
+from repro.core.costmodel import canonical_cost, configuration_unit_cost
 from repro.core.optimizer import MinCostIndex
 from repro.errors import InfeasibleError, ValidationError
 from repro.units import SECONDS_PER_HOUR
@@ -127,7 +127,7 @@ def capacity_sensitivity(
             true_capacity = float(configuration_capacity(config, capacities)[0])
             true_time = demand_gi / true_capacity / SECONDS_PER_HOUR
             unit_cost = float(configuration_unit_cost(config, prices)[0])
-            true_cost = true_time * unit_cost
+            true_cost = canonical_cost(demand_gi, true_capacity, unit_cost)
             regrets.append(true_cost / true_optimal_cost - 1.0)
             if true_time > deadline_hours:
                 violations += 1

@@ -9,31 +9,17 @@ dispatch serialization, node startup, hourly billing), producing the
 "Actual" columns.
 """
 
-from repro.engine.events import EventSimulator
-from repro.engine.cluster import SimCluster, NodeState
-from repro.engine.schedulers import (
-    simulate_independent,
-    simulate_bsp,
-    simulate_workqueue,
-    ScheduleOutcome,
-)
-from repro.engine.runner import (
-    EngineConfig,
-    ExecutionReport,
-    run_on_configuration,
-    time_single_node_run,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "EventSimulator",
-    "SimCluster",
-    "NodeState",
-    "simulate_independent",
-    "simulate_bsp",
-    "simulate_workqueue",
-    "ScheduleOutcome",
-    "EngineConfig",
-    "ExecutionReport",
-    "run_on_configuration",
-    "time_single_node_run",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.engine.events": ["EventSimulator"],
+    "repro.engine.cluster": ["SimCluster", "NodeState"],
+    "repro.engine.schedulers": [
+        "simulate_independent", "simulate_bsp", "simulate_workqueue",
+        "ScheduleOutcome",
+    ],
+    "repro.engine.runner": [
+        "EngineConfig", "ExecutionReport", "run_on_configuration",
+        "time_single_node_run",
+    ],
+})

@@ -20,6 +20,8 @@ Run them all with ``python -m repro.experiments.registry`` (or the
 installed ``celia-experiments`` script).
 """
 
-from repro.experiments.common import ExperimentContext
+from repro._lazy import attach
 
-__all__ = ["ExperimentContext"]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.experiments.common": ["ExperimentContext"],
+})

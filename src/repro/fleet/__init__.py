@@ -13,61 +13,31 @@ spawn, monitor, graceful restart — by :mod:`~repro.fleet.supervisor`.
 processes, the same HTTP contract and answer bytes.
 
 Sharding keeps each tenant signature's warm state on exactly one
-worker, bounded by an LRU (``max_warm``) and rebuilt lazily from the
-shared content-addressed snapshot cache, so fleet RAM scales with the
-*active* tenant set, not the historical one.  Start one with::
+worker, bounded by an LRU (``max_warm``) and rebuilt lazily in
+milliseconds (characterization plus a structured index build), so
+fleet RAM scales with the *active* tenant set, not the historical one.
+Start one with::
 
     celia fleet serve --workers 2 --warm small --port 8337
 
 See ``docs/ops.md`` for the operator runbook.
 """
 
-from repro.fleet.chaos import (
-    FLEET_FAULT_KINDS,
-    ChaosInjector,
-    FleetChaosPlan,
-    FleetFault,
-    LinkFaults,
-    fleet_chaos_names,
-    fleet_chaos_plan,
-)
-from repro.fleet.frontend import FleetFrontend, run_frontend
-from repro.fleet.hashing import DEFAULT_VNODES, HashRing, ring_hash, warm_key
-from repro.fleet.health import FleetTimeline, HealthMonitor, TimelineEvent
-from repro.fleet.rpc import WorkerGone, WorkerLink, encode_frame
-from repro.fleet.supervisor import (
-    FleetConfig,
-    LocalFleet,
-    LocalLink,
-    PlannerFleet,
-    run_fleet,
-)
-from repro.fleet.worker import ShardWorker
+from repro._lazy import attach
 
-__all__ = [
-    "DEFAULT_VNODES",
-    "FLEET_FAULT_KINDS",
-    "ChaosInjector",
-    "FleetChaosPlan",
-    "FleetConfig",
-    "FleetFault",
-    "FleetFrontend",
-    "FleetTimeline",
-    "HashRing",
-    "HealthMonitor",
-    "LinkFaults",
-    "LocalFleet",
-    "LocalLink",
-    "PlannerFleet",
-    "ShardWorker",
-    "TimelineEvent",
-    "WorkerGone",
-    "WorkerLink",
-    "encode_frame",
-    "fleet_chaos_names",
-    "fleet_chaos_plan",
-    "ring_hash",
-    "run_fleet",
-    "run_frontend",
-    "warm_key",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.fleet.chaos": [
+        "FLEET_FAULT_KINDS", "ChaosInjector", "FleetChaosPlan", "FleetFault",
+        "LinkFaults", "fleet_chaos_names", "fleet_chaos_plan",
+    ],
+    "repro.fleet.frontend": ["FleetFrontend", "run_frontend"],
+    "repro.fleet.hashing": [
+        "DEFAULT_VNODES", "HashRing", "ring_hash", "warm_key",
+    ],
+    "repro.fleet.health": ["FleetTimeline", "HealthMonitor", "TimelineEvent"],
+    "repro.fleet.rpc": ["WorkerGone", "WorkerLink", "encode_frame"],
+    "repro.fleet.supervisor": [
+        "FleetConfig", "LocalFleet", "LocalLink", "PlannerFleet", "run_fleet",
+    ],
+    "repro.fleet.worker": ["ShardWorker"],
+})

@@ -15,12 +15,12 @@ Restarts are graceful: :meth:`PlannerFleet.restart_worker` first drops
 the worker from routing (the front end's fallback path covers requests
 in flight), sends SIGTERM so the worker drains, waits for exit, spawns
 the replacement, and re-admits it once connected.  Warm state for that
-shard is rebuilt lazily on the next routed request — a millisecond mmap
-of the shared content-addressed snapshot when a cache dir is configured.
+shard is rebuilt lazily on the next routed request: characterization
+plus a millisecond structured index build, with no sweep and no
+snapshot read.
 
-All workers share one ``cache_dir``, so the expensive sweep/frontier
-build happens once fleet-wide and every other worker maps the same
-snapshot file read-only.
+The front end itself plans nothing: it imports no numpy and no planning
+module, so a fleet boots at the cost of its workers' imports.
 
 :class:`LocalFleet` is the one-shard, in-process counterpart behind
 ``celia serve``: the same routing surface over a single
@@ -39,6 +39,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import repro
 from repro.errors import ValidationError
@@ -46,9 +47,11 @@ from repro.fleet.frontend import FleetFrontend, run_frontend
 from repro.fleet.hashing import DEFAULT_VNODES, HashRing, warm_key
 from repro.fleet.health import FleetTimeline, HealthMonitor
 from repro.fleet.rpc import WorkerGone, WorkerLink
-from repro.fleet.worker import ShardWorker
 from repro.obs.metrics import global_registry
-from repro.service.planner import PlannerService
+
+if TYPE_CHECKING:
+    from repro.fleet.worker import ShardWorker
+    from repro.service.planner import PlannerService
 
 __all__ = ["FleetConfig", "LocalFleet", "LocalLink", "PlannerFleet",
            "run_fleet"]
@@ -75,9 +78,8 @@ class FleetConfig:
     #: Space-sweep parallelism inside each shard.  Defaults to 1: the
     #: fleet's processes are the parallelism.
     sweep_workers: "int | str" = 1
-    #: Shared snapshot cache directory (None → library default,
-    #: False → disabled).  Sharing it across workers makes warm-state
-    #: rebuild an mmap, not a sweep.
+    #: Shared evaluation cache directory (None → library default,
+    #: False → disabled), used by the ``plan`` path's sweeps.
     cache_dir: "str | bool | None" = None
     #: Apps warmed on their owning shard before the fleet reports ready.
     warm_apps: tuple = field(default_factory=tuple)
@@ -372,7 +374,7 @@ class PlannerFleet:
         The worker leaves routing first (its keys fall back to the ring's
         next owner), drains on SIGTERM, and is re-admitted once the
         replacement process answers a ping.  Warm state rebuilds lazily
-        from the shared snapshot cache on the next routed request.
+        on the next routed request.
         """
         if worker_id not in self._handles:
             raise ValidationError(f"no worker {worker_id!r} in the fleet")
@@ -453,6 +455,10 @@ class LocalFleet:
     down = frozenset()
 
     def __init__(self, service: PlannerService):
+        # Imported here: ``celia fleet serve`` builds no LocalFleet, so
+        # its front end never loads the planning stack.
+        from repro.fleet.worker import ShardWorker
+
         self.service = service
         self.worker = ShardWorker(service, worker_id="w0")
         self._link = LocalLink(self.worker)

@@ -15,7 +15,7 @@ Beyond the planning kinds the worker answers control frames:
 * ``__metrics__`` — the worker's service registry (merged with its
   process-global one in a worker process), for the front end's
   ``/metrics`` merge;
-* ``__warm__``    — build (or snapshot-load) one signature's state.
+* ``__warm__``    — build one signature's state.
 
 Repeated planning requests ride a second-level memo: once the service
 answers a request from its result cache the worker remembers the
@@ -26,10 +26,9 @@ traffic never pays the JSON encode twice.
 
 Warm state is bounded: ``--max-warm`` forwards to
 ``ServiceConfig.max_warm_states``, so an unbounded tenant population
-evicts least-recently-used shard state instead of exhausting RAM, and a
-shared ``--cache-dir`` makes the rebuild a millisecond mmap of the
-content-addressed index snapshot — pages shared with every other worker
-that mapped the same file.
+evicts least-recently-used shard state instead of exhausting RAM; a
+rebuild is characterization plus a millisecond structured index build,
+with no sweep and no snapshot read.
 
 Run as ``python -m repro.fleet.worker --socket PATH --worker-id w0 ...``
 (normally by :class:`repro.fleet.supervisor.PlannerFleet`, not by hand).

@@ -21,31 +21,21 @@ cheapest fleet meeting a p99 SLO — CELIA's frontier selection pointed at
 the service that hosts it.  See ``docs/loadgen.md``.
 """
 
-from repro.loadgen.replay import (Observation, ReplayResult, SHED_CODES,
-                                  prewarm, replay_trace, replay_trace_sync)
-from repro.loadgen.report import ReplayReport, TenantStats, check_invariants
-from repro.loadgen.tenants import (APP_ENVELOPES, TenantProfile,
-                                   WorkloadConfig, generate_trace, tenant_mix)
-from repro.loadgen.trace import (TRACE_FORMAT_VERSION, Trace, TraceRequest,
-                                 merge_sorted)
+from repro._lazy import attach
 
-__all__ = [
-    "APP_ENVELOPES",
-    "Observation",
-    "ReplayReport",
-    "ReplayResult",
-    "SHED_CODES",
-    "TRACE_FORMAT_VERSION",
-    "TenantProfile",
-    "TenantStats",
-    "Trace",
-    "TraceRequest",
-    "WorkloadConfig",
-    "check_invariants",
-    "generate_trace",
-    "merge_sorted",
-    "prewarm",
-    "replay_trace",
-    "replay_trace_sync",
-    "tenant_mix",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.loadgen.replay": [
+        "Observation", "ReplayResult", "SHED_CODES", "prewarm",
+        "replay_trace", "replay_trace_sync",
+    ],
+    "repro.loadgen.report": [
+        "ReplayReport", "TenantStats", "check_invariants",
+    ],
+    "repro.loadgen.tenants": [
+        "APP_ENVELOPES", "TenantProfile", "WorkloadConfig", "generate_trace",
+        "tenant_mix",
+    ],
+    "repro.loadgen.trace": [
+        "TRACE_FORMAT_VERSION", "Trace", "TraceRequest", "merge_sorted",
+    ],
+})

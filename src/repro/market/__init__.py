@@ -22,39 +22,18 @@ runtime (:mod:`repro.runtime`) treat spot kills as just another chaos
 event with an auditable timeline.
 """
 
-from repro.market.bids import (
-    AdaptiveBid,
-    BidPolicy,
-    FixedFractionBid,
-    OnDemandCapBid,
-    bid_policy,
-    bid_policy_names,
-)
-from repro.market.billing import SpotExpectedBilling
-from repro.market.fleet import SpotAllocation, SpotFleet, SpotNode
-from repro.market.plan import (
-    MarketPolicy,
-    PurchasePlan,
-    purchase_plan,
-    split_configuration,
-)
-from repro.market.streams import SpotMarket, SpotMarketConfig
+from repro._lazy import attach
 
-__all__ = [
-    "SpotMarket",
-    "SpotMarketConfig",
-    "BidPolicy",
-    "FixedFractionBid",
-    "OnDemandCapBid",
-    "AdaptiveBid",
-    "bid_policy",
-    "bid_policy_names",
-    "SpotExpectedBilling",
-    "MarketPolicy",
-    "PurchasePlan",
-    "purchase_plan",
-    "split_configuration",
-    "SpotFleet",
-    "SpotAllocation",
-    "SpotNode",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.market.bids": [
+        "BidPolicy", "FixedFractionBid", "OnDemandCapBid", "AdaptiveBid",
+        "bid_policy", "bid_policy_names",
+    ],
+    "repro.market.billing": ["SpotExpectedBilling"],
+    "repro.market.fleet": ["SpotFleet", "SpotAllocation", "SpotNode"],
+    "repro.market.plan": [
+        "MarketPolicy", "PurchasePlan", "purchase_plan",
+        "split_configuration",
+    ],
+    "repro.market.streams": ["SpotMarket", "SpotMarketConfig"],
+})

@@ -17,36 +17,17 @@ continuous ``D(n, a)`` the time model needs; fitted artefacts round-trip
 through JSON (:mod:`repro.measurement.profiles`).
 """
 
-from repro.measurement.machines import MachineSpec, LOCAL_XEON_E5_2630_V4
-from repro.measurement.perf import PerfCounter, PerfReading
-from repro.measurement.baseline import (
-    DemandSamples,
-    measure_demand_grid,
-    measure_capacities,
-    measure_capacities_by_category,
-    CapacityMeasurement,
-)
-from repro.measurement.fitting import (
-    TermFit,
-    FittedDemand,
-    fit_term,
-    fit_separable_demand,
-)
-from repro.measurement.profiles import ApplicationProfile
+from repro._lazy import attach
 
-__all__ = [
-    "MachineSpec",
-    "LOCAL_XEON_E5_2630_V4",
-    "PerfCounter",
-    "PerfReading",
-    "DemandSamples",
-    "measure_demand_grid",
-    "measure_capacities",
-    "measure_capacities_by_category",
-    "CapacityMeasurement",
-    "TermFit",
-    "FittedDemand",
-    "fit_term",
-    "fit_separable_demand",
-    "ApplicationProfile",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.measurement.machines": ["MachineSpec", "LOCAL_XEON_E5_2630_V4"],
+    "repro.measurement.perf": ["PerfCounter", "PerfReading"],
+    "repro.measurement.baseline": [
+        "DemandSamples", "measure_demand_grid", "measure_capacities",
+        "measure_capacities_by_category", "CapacityMeasurement",
+    ],
+    "repro.measurement.fitting": [
+        "TermFit", "FittedDemand", "fit_term", "fit_separable_demand",
+    ],
+    "repro.measurement.profiles": ["ApplicationProfile"],
+})

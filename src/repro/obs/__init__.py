@@ -21,48 +21,24 @@ See ``docs/observability.md`` for the operator guide (span taxonomy,
 metric catalog, viewer walkthroughs).
 """
 
-from repro.obs.export import (export_chrome_trace, read_trace, spans_only,
-                              to_chrome_trace, trace_summary)
-from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                               global_registry, group_by_label,
-                               label_snapshot, merge_snapshots, parse_series,
-                               render_text, reset_global_registry)
-from repro.obs.profile import (PROFILE_ENV, ProfileStore, get_store,
-                               profile_block, profiling_enabled, reset_store)
-from repro.obs.trace import (TRACE_ENV, Span, SpanContext, Tracer,
-                             configure_tracing, get_tracer, make_span_record,
-                             reset_tracing, tracing_enabled)
+from repro._lazy import attach
 
-__all__ = [
-    "PROFILE_ENV",
-    "TRACE_ENV",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "ProfileStore",
-    "Span",
-    "SpanContext",
-    "Tracer",
-    "configure_tracing",
-    "export_chrome_trace",
-    "get_store",
-    "get_tracer",
-    "global_registry",
-    "group_by_label",
-    "label_snapshot",
-    "make_span_record",
-    "merge_snapshots",
-    "parse_series",
-    "profile_block",
-    "profiling_enabled",
-    "read_trace",
-    "render_text",
-    "reset_global_registry",
-    "reset_store",
-    "reset_tracing",
-    "spans_only",
-    "to_chrome_trace",
-    "trace_summary",
-    "tracing_enabled",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.obs.export": [
+        "export_chrome_trace", "read_trace", "spans_only", "to_chrome_trace",
+        "trace_summary",
+    ],
+    "repro.obs.metrics": [
+        "Counter", "Gauge", "Histogram", "MetricsRegistry", "global_registry",
+        "group_by_label", "label_snapshot", "merge_snapshots", "parse_series",
+        "render_text", "reset_global_registry",
+    ],
+    "repro.obs.profile": [
+        "PROFILE_ENV", "ProfileStore", "get_store", "profile_block",
+        "profiling_enabled", "reset_store",
+    ],
+    "repro.obs.trace": [
+        "TRACE_ENV", "Span", "SpanContext", "Tracer", "configure_tracing",
+        "get_tracer", "make_span_record", "reset_tracing", "tracing_enabled",
+    ],
+})

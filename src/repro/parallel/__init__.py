@@ -26,38 +26,16 @@ floating-point reduction regardless of which process computed it, how
 often it was retried, or whether it was restored from a shard.
 """
 
-from repro.parallel.faults import FAULT_KINDS, FaultPlan, WorkerFault
-from repro.parallel.partition import (
-    TASKS_PER_WORKER,
-    available_workers,
-    missing_ranges,
-    partition_chunks,
-    partition_ranges,
-    resolve_workers,
-)
-from repro.parallel.supervisor import (
-    SupervisorConfig,
-    SweepError,
-    SweepInterrupted,
-    SweepStats,
-    evaluate_parallel,
-    evaluate_resilient,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "FAULT_KINDS",
-    "FaultPlan",
-    "SupervisorConfig",
-    "SweepError",
-    "SweepInterrupted",
-    "SweepStats",
-    "TASKS_PER_WORKER",
-    "WorkerFault",
-    "available_workers",
-    "evaluate_parallel",
-    "evaluate_resilient",
-    "missing_ranges",
-    "partition_chunks",
-    "partition_ranges",
-    "resolve_workers",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.parallel.faults": ["FAULT_KINDS", "FaultPlan", "WorkerFault"],
+    "repro.parallel.partition": [
+        "TASKS_PER_WORKER", "available_workers", "missing_ranges",
+        "partition_chunks", "partition_ranges", "resolve_workers",
+    ],
+    "repro.parallel.supervisor": [
+        "SupervisorConfig", "SweepError", "SweepInterrupted", "SweepStats",
+        "evaluate_parallel", "evaluate_resilient",
+    ],
+})

@@ -11,25 +11,13 @@ All objectives are *minimized*; callers with maximization objectives
 negate them first (same convention as pareto.py).
 """
 
-from repro.pareto.epsilon import eps_sort, EpsilonArchive
-from repro.pareto.frontier import (
-    pareto_mask_2d,
-    pareto_indices_2d,
-    dominates,
-    frontier_cost_span,
-    hypervolume_2d,
-    knee_point_2d,
-    attainment_surface,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "eps_sort",
-    "EpsilonArchive",
-    "pareto_mask_2d",
-    "pareto_indices_2d",
-    "dominates",
-    "frontier_cost_span",
-    "hypervolume_2d",
-    "knee_point_2d",
-    "attainment_surface",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.pareto.epsilon": ["eps_sort", "EpsilonArchive"],
+    "repro.pareto.frontier": [
+        "pareto_mask_2d", "pareto_indices_2d", "dominates",
+        "frontier_cost_span", "hypervolume_2d", "knee_point_2d",
+        "attainment_surface",
+    ],
+})

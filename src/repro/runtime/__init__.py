@@ -9,56 +9,22 @@ scenarios (:mod:`repro.runtime.chaos`), a typed audit trail
 controller itself (:mod:`repro.runtime.controller`).
 """
 
-from repro.runtime.chaos import (
-    SCENARIOS,
-    ChaosScenario,
-    chaos_scenario,
-    scenario_names,
-)
-from repro.runtime.controller import (
-    AdaptiveController,
-    RuntimeConfig,
-    RuntimeReport,
-    degraded_accuracy_search,
-)
-from repro.runtime.events import (
-    DegradationDecision,
-    ExecutionTimeline,
-    FallbackToOnDemand,
-    InfeasiblePlan,
-    Migration,
-    NodeCrash,
-    ProvisionAttempt,
-    ReplanDecision,
-    SpotInterruption,
-    SpotPurchase,
-    event_to_dict,
-)
-from repro.runtime.execution import AdvanceResult, LeaseExecution
-from repro.runtime.retry import RetryPolicy, provision_with_retry
+from repro._lazy import attach
 
-__all__ = [
-    "AdaptiveController",
-    "RuntimeConfig",
-    "RuntimeReport",
-    "degraded_accuracy_search",
-    "ChaosScenario",
-    "SCENARIOS",
-    "chaos_scenario",
-    "scenario_names",
-    "RetryPolicy",
-    "provision_with_retry",
-    "LeaseExecution",
-    "AdvanceResult",
-    "ExecutionTimeline",
-    "ProvisionAttempt",
-    "NodeCrash",
-    "ReplanDecision",
-    "DegradationDecision",
-    "Migration",
-    "InfeasiblePlan",
-    "SpotPurchase",
-    "SpotInterruption",
-    "FallbackToOnDemand",
-    "event_to_dict",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.runtime.chaos": [
+        "ChaosScenario", "SCENARIOS", "chaos_scenario", "scenario_names",
+    ],
+    "repro.runtime.controller": [
+        "AdaptiveController", "RuntimeConfig", "RuntimeReport",
+        "degraded_accuracy_search",
+    ],
+    "repro.runtime.events": [
+        "ExecutionTimeline", "ProvisionAttempt", "NodeCrash",
+        "ReplanDecision", "DegradationDecision", "Migration",
+        "InfeasiblePlan", "SpotPurchase", "SpotInterruption",
+        "FallbackToOnDemand", "event_to_dict",
+    ],
+    "repro.runtime.execution": ["LeaseExecution", "AdvanceResult"],
+    "repro.runtime.retry": ["RetryPolicy", "provision_with_retry"],
+})

@@ -18,41 +18,20 @@ serve`` runs it over one in-process shard of this service.
                              deadline_hours=24, budget_dollars=350)
 """
 
-from repro.service.client import PlannerClient
-from repro.service.faults import ServiceFaults
-from repro.service.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.service.planner import (
-    KNOWN_APPS,
-    PlannerService,
-    RequestTimeoutError,
-    ServiceConfig,
-    ServiceSaturatedError,
-    SpaceSignature,
-)
-from repro.service.serialize import (
-    optimizer_answer_to_dict,
-    pareto_point_to_dict,
-    plan_to_dict,
-    prediction_to_dict,
-    selection_to_dict,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "KNOWN_APPS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "PlannerClient",
-    "PlannerService",
-    "RequestTimeoutError",
-    "ServiceConfig",
-    "ServiceFaults",
-    "ServiceSaturatedError",
-    "SpaceSignature",
-    "optimizer_answer_to_dict",
-    "pareto_point_to_dict",
-    "plan_to_dict",
-    "prediction_to_dict",
-    "selection_to_dict",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.service.client": ["PlannerClient"],
+    "repro.service.faults": ["ServiceFaults"],
+    "repro.service.metrics": [
+        "Counter", "Gauge", "Histogram", "MetricsRegistry",
+    ],
+    "repro.service.planner": [
+        "KNOWN_APPS", "PlannerService", "RequestTimeoutError",
+        "ServiceConfig", "ServiceSaturatedError", "SpaceSignature",
+    ],
+    "repro.service.serialize": [
+        "optimizer_answer_to_dict", "pareto_point_to_dict", "plan_to_dict",
+        "prediction_to_dict", "selection_to_dict",
+    ],
+})

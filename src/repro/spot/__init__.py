@@ -10,15 +10,12 @@ interruptions and periodic checkpointing, and compares cost and
 deadline-satisfaction probability against CELIA's on-demand plan.
 """
 
-from repro.spot.checkpoint import CheckpointPolicy
-from repro.spot.execution import SpotOutcome, SpotRunConfig, simulate_spot_run
-from repro.spot.comparison import SpotStudy, compare_spot_vs_ondemand
+from repro._lazy import attach
 
-__all__ = [
-    "CheckpointPolicy",
-    "SpotRunConfig",
-    "SpotOutcome",
-    "simulate_spot_run",
-    "SpotStudy",
-    "compare_spot_vs_ondemand",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.spot.checkpoint": ["CheckpointPolicy"],
+    "repro.spot.execution": [
+        "SpotRunConfig", "SpotOutcome", "simulate_spot_run",
+    ],
+    "repro.spot.comparison": ["SpotStudy", "compare_spot_vs_ondemand"],
+})

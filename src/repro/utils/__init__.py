@@ -1,20 +1,12 @@
 """Shared utilities: seeded RNG plumbing, table rendering, math helpers."""
 
-from repro.utils.rng import derive_rng, spawn_seed
-from repro.utils.tables import TextTable
-from repro.utils.mathutil import (
-    relative_error,
-    percent_error,
-    approx_gradient,
-    geometric_mean,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "derive_rng",
-    "spawn_seed",
-    "TextTable",
-    "relative_error",
-    "percent_error",
-    "approx_gradient",
-    "geometric_mean",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.utils.rng": ["derive_rng", "spawn_seed"],
+    "repro.utils.tables": ["TextTable"],
+    "repro.utils.mathutil": [
+        "relative_error", "percent_error", "approx_gradient",
+        "geometric_mean",
+    ],
+})

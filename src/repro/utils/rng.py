@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
+# Imported here, not on first use: numpy loads ``numpy.random`` lazily, so
+# a process would otherwise pay that import inside its first timed plan.
+from numpy.random import Generator, default_rng
 
 __all__ = ["spawn_seed", "derive_rng", "DEFAULT_ROOT_SEED"]
 
@@ -45,6 +47,6 @@ def spawn_seed(root_seed: int, *keys: object) -> int:
     return int.from_bytes(digest.digest()[:8], "little")
 
 
-def derive_rng(root_seed: int, *keys: object) -> np.random.Generator:
+def derive_rng(root_seed: int, *keys: object) -> Generator:
     """Return an independent ``Generator`` for the given root seed and keys."""
-    return np.random.default_rng(spawn_seed(root_seed, *keys))
+    return default_rng(spawn_seed(root_seed, *keys))

@@ -21,23 +21,15 @@ Contents:
   the analytical bound the way Table IV validates Eq. 2.
 """
 
-from repro.workflow.dag import Stage, WorkflowDAG, chain, fork_join, diamond
-from repro.workflow.model import (
-    WorkflowPrediction,
-    predict_workflow,
-    select_workflow_configurations,
-)
-from repro.workflow.scheduler import WorkflowReport, execute_workflow
+from repro._lazy import attach
 
-__all__ = [
-    "Stage",
-    "WorkflowDAG",
-    "chain",
-    "fork_join",
-    "diamond",
-    "WorkflowPrediction",
-    "predict_workflow",
-    "select_workflow_configurations",
-    "WorkflowReport",
-    "execute_workflow",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.workflow.dag": [
+        "Stage", "WorkflowDAG", "chain", "fork_join", "diamond",
+    ],
+    "repro.workflow.model": [
+        "WorkflowPrediction", "predict_workflow",
+        "select_workflow_configurations",
+    ],
+    "repro.workflow.scheduler": ["WorkflowReport", "execute_workflow"],
+})

@@ -171,3 +171,43 @@ class TestComparison:
                                   optimal_cost=1.0, wall_seconds=0.0)
         assert not outcome.found
         assert outcome.optimality_gap == float("inf")
+
+
+class TestCanonicalArithmetic:
+    """Eq. 3 / Eq. 6 outside the sweep use Algorithm 1's arithmetic."""
+
+    def test_helpers_equal_canonical_sums_bitwise(self, ec2, galaxy):
+        from repro.core.capacity import configuration_capacity
+        from repro.core.costmodel import configuration_unit_cost
+        from repro.core.sweepkernel import canonical_sums
+
+        rng = np.random.default_rng(0)
+        rows = rng.integers(0, 6, size=(20_000, len(ec2)))
+        weights = np.array([galaxy.true_rate_gips(t) for t in ec2])
+        np.testing.assert_array_equal(configuration_capacity(rows, weights),
+                                      canonical_sums(rows, weights))
+        np.testing.assert_array_equal(configuration_unit_cost(rows, ec2.prices),
+                                      canonical_sums(rows, ec2.prices))
+
+    def test_baseline_answers_are_predictions(self, galaxy):
+        from repro.cloud.catalog import ec2_catalog
+        from repro.core.celia import Celia
+
+        celia = Celia(ec2_catalog(max_nodes_per_type=3), cache_dir=False)
+        capacities = celia.capacities(galaxy)
+        n, a, deadline = 20000.0, 4000.0, 6.0
+        demand = celia.demand_gi(galaxy, n, a)
+        rng = np.random.default_rng(5)
+        answers = [
+            greedy_min_cost(celia.catalog, capacities, demand, deadline),
+            hillclimb_min_cost(celia.catalog, capacities, demand, deadline,
+                               rng=rng),
+            random_search_min_cost(celia.catalog, capacities, demand,
+                                   deadline, n_samples=2000, rng=rng),
+        ]
+        for answer in answers:
+            pred = celia.predict(galaxy, n, a, answer.configuration)
+            assert answer.capacity_gips == pred.capacity_gips
+            assert answer.unit_cost_per_hour == pred.unit_cost_per_hour
+            assert answer.time_hours == pred.time_hours
+            assert answer.cost_dollars == pred.cost_dollars

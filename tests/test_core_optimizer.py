@@ -166,3 +166,63 @@ class TestMinTimeIndex:
         index = MinTimeIndex(evaluation)
         with pytest.raises(ValidationError):
             index.query(1.0, 0.0)
+
+
+@pytest.fixture(scope="module")
+def quota3():
+    from repro.apps import GalaxyApp, SandApp, X264App
+    from repro.cloud.catalog import ec2_catalog
+    from repro.core.celia import Celia
+
+    celia = Celia(ec2_catalog(max_nodes_per_type=3), cache_dir=False)
+    return celia, {"galaxy": GalaxyApp(), "x264": X264App(),
+                   "sand": SandApp()}
+
+
+#: (n, a) draws per app, inside each app's parameter domain.
+_POINTS = {
+    "galaxy": st.tuples(st.integers(8192, 131072).map(float),
+                        st.integers(500, 8000).map(float)),
+    "x264": st.tuples(st.integers(100, 2000).map(float),
+                      st.floats(1.0, 40.0)),
+    "sand": st.tuples(st.integers(10**6, 64 * 10**6).map(float),
+                      st.floats(0.02, 0.5)),
+}
+
+
+class TestAgreesWithPredict:
+    """An index answer is ``Celia.predict`` of its configuration, bit for bit."""
+
+    @staticmethod
+    def _assert_is_prediction(celia, app, n, a, answer):
+        pred = celia.predict(app, n, a, answer.configuration)
+        assert answer.capacity_gips == pred.capacity_gips
+        assert answer.unit_cost_per_hour == pred.unit_cost_per_hour
+        assert answer.time_hours == pred.time_hours
+        assert answer.cost_dollars == pred.cost_dollars
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(_POINTS)).flatmap(
+               lambda name: st.tuples(st.just(name), _POINTS[name])),
+           st.floats(0.5, 500.0), st.floats(5.0, 5000.0))
+    def test_min_cost_and_min_time(self, quota3, app_point, deadline, budget):
+        celia, apps = quota3
+        name, (n, a) = app_point
+        app = apps[name]
+        demand = celia.demand_gi(app, n, a)
+        try:
+            answer = celia.min_cost_index(app).query(demand, deadline)
+        except InfeasibleError:
+            pass
+        else:
+            self._assert_is_prediction(celia, app, n, a, answer)
+            # The budget test compares that same cost.
+            with pytest.raises(InfeasibleError):
+                celia.min_cost_index(app).query(
+                    demand, deadline, budget_dollars=answer.cost_dollars)
+        try:
+            answer = celia.min_time_index(app).query(demand, budget)
+        except InfeasibleError:
+            pass
+        else:
+            self._assert_is_prediction(celia, app, n, a, answer)
