@@ -156,6 +156,30 @@ class Celia:
             )
         return self._characterization_cache[app.name]
 
+    def adopt_measurements(self, app: ElasticApplication,
+                           characterization: CharacterizationResult,
+                           demand: FittedDemand) -> None:
+        """Reuse ``app``'s measurements taken by an equivalent ``Celia``.
+
+        ``characterization`` and ``demand`` are what
+        :meth:`characterization` and :meth:`demand_model` returned on an
+        instance with the same catalog, harness and seed.  Both are
+        frozen, so this instance shares them and never runs Section IV's
+        measurements for ``app``; every later answer is bit-identical to
+        one measured here.  The planning service uses this to rebuild an
+        evicted warm state from its kept measurements.
+        """
+        if characterization.app_name != app.name or demand.app_name != app.name:
+            raise ValidationError(
+                f"measurements of {characterization.app_name!r}/"
+                f"{demand.app_name!r} cannot serve {app.name!r}")
+        if len(characterization.entries) != len(self.catalog):
+            raise ValidationError(
+                f"characterization covers {len(characterization.entries)} "
+                f"types, the catalog {len(self.catalog)}")
+        self._characterization_cache[app.name] = characterization
+        self._demand_cache[app.name] = demand
+
     def capacities(self, app: ElasticApplication) -> np.ndarray:
         """Measured per-type capacity vector ``W`` (GI/s, catalog order)."""
         return self.characterization(app).capacity_vector()

@@ -266,8 +266,9 @@ def _materialize(
     Shared verbatim by the streamed, indexed and structured paths so
     ordering, ε-filtering and decoding are identical: inputs arrive in
     ascending evaluation-row order, output is sorted by time (stable, so
-    ties keep row order), and all configurations decode in one
-    vectorized call.
+    ties keep row order), all configurations decode in one vectorized
+    call, and each array converts to Python values with one ``tolist()``
+    (the same ints and floats as per-element ``int()``/``float()``).
     """
     if all_rows.size == 0:
         return []
@@ -282,16 +283,13 @@ def _materialize(
         all_capacity = all_capacity[eps_mask]
         all_unit_cost = all_unit_cost[eps_mask]
     order = np.argsort(all_t, kind="stable")
-    matrix = space.decode(all_rows[order] + 1)
     return [
-        ParetoPoint(
-            configuration=tuple(int(v) for v in matrix[k]),
-            time_hours=float(all_t[i]),
-            cost_dollars=float(all_c[i]),
-            capacity_gips=float(all_capacity[i]),
-            unit_cost_per_hour=float(all_unit_cost[i]),
-        )
-        for k, i in enumerate(order.tolist())
+        ParetoPoint(configuration=tuple(config), time_hours=t,
+                    cost_dollars=c, capacity_gips=u, unit_cost_per_hour=p)
+        for config, t, c, u, p in zip(
+            space.decode(all_rows[order] + 1).tolist(),
+            all_t[order].tolist(), all_c[order].tolist(),
+            all_capacity[order].tolist(), all_unit_cost[order].tolist())
     ]
 
 

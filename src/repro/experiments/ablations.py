@@ -44,14 +44,13 @@ class AblationsResult:
     def render(self) -> str:
         lines = ["A1: search strategies vs exhaustive "
                  f"(galaxy(65536, 8000), T' = {DEADLINE_HOURS:g} h)"]
-        table = TextTable(
-            ["Strategy", "Cost ($)", "Gap", "Wall (ms)"],
-            aligns="lrrr", float_format="{:.2f}",
-        )
+        # No wall-time column: it differs run to run, and this report is
+        # a committed artefact that must regenerate byte for byte.
+        table = TextTable(["Strategy", "Cost ($)", "Gap"], aligns="lrr")
         for o in self.search:
             cost = f"{o.answer.cost_dollars:.2f}" if o.found else "-"
             gap = f"{o.optimality_gap:.2%}" if o.found else "not found"
-            table.add_row([o.strategy, cost, gap, o.wall_seconds * 1000])
+            table.add_row([o.strategy, cost, gap])
         lines.append(table.render())
 
         lines.append("")

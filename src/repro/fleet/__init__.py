@@ -13,8 +13,9 @@ spawn, monitor, graceful restart — by :mod:`~repro.fleet.supervisor`.
 processes, the same HTTP contract and answer bytes.
 
 Sharding keeps each tenant signature's warm state on exactly one
-worker, bounded by an LRU (``max_warm``) and rebuilt lazily in
-milliseconds (characterization plus a structured index build), so
+worker, bounded by an LRU (``max_warm``) and rebuilt lazily in about
+2 ms (the worker keeps each signature's measurements, so a rebuild is
+only the structured index build), so
 fleet RAM scales with the *active* tenant set, not the historical one.
 Start one with::
 

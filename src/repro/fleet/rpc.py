@@ -4,14 +4,15 @@ One frame is a compact JSON header line followed by a raw payload of
 ``len`` bytes over a persistent Unix-domain stream::
 
     front end -> worker   {"id":7,"kind":"select","len":132}\n<132 bytes>
-    worker -> front end   {"id":7,"status":200,"len":6367}\n<6367 bytes>
+    worker -> front end   {"id":7,"status":200,"len":22913}\n<22913 bytes>
 
 The payload is the request/response JSON **as raw bytes**: the front
 end forwards the client's HTTP body without re-serializing it, and
 streams the worker's response bytes straight into the HTTP response
-without a decode/encode round trip — on the 6 KB select responses that
-saves two full JSON passes per request, which is most of what makes the
-fleet hot path cheaper than connection-per-request serving.
+without a decode/encode round trip — on quota-5 select responses of
+10–23 KB (by frontier size) that saves two full JSON passes per
+request, which is most of what makes the fleet hot path cheaper than
+connection-per-request serving.
 
 The link stays open for the worker's whole life, so a routed request
 costs one write and one read — no per-request connection setup, no HTTP

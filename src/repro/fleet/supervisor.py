@@ -16,8 +16,9 @@ the worker from routing (the front end's fallback path covers requests
 in flight), sends SIGTERM so the worker drains, waits for exit, spawns
 the replacement, and re-admits it once connected.  Warm state for that
 shard is rebuilt lazily on the next routed request: characterization
-plus a millisecond structured index build, with no sweep and no
-snapshot read.
+and a millisecond structured index build, with no sweep and no snapshot
+read.  (Within one worker's life, an evicted signature keeps its
+measurements and rebuilds only the index, in about 2 ms.)
 
 The front end itself plans nothing: it imports no numpy and no planning
 module, so a fleet boots at the cost of its workers' imports.

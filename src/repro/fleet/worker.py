@@ -26,9 +26,11 @@ traffic never pays the JSON encode twice.
 
 Warm state is bounded: ``--max-warm`` forwards to
 ``ServiceConfig.max_warm_states``, so an unbounded tenant population
-evicts least-recently-used shard state instead of exhausting RAM; a
-rebuild is characterization plus a millisecond structured index build,
-with no sweep and no snapshot read.
+evicts least-recently-used shard state instead of exhausting RAM.  The
+service keeps each signature's measurements past the eviction, so a
+rebuild is only the structured index (about 2 ms, in an executor
+thread), with no measurement, sweep or snapshot read.  Select batches
+run on the worker's event loop itself.
 
 Run as ``python -m repro.fleet.worker --socket PATH --worker-id w0 ...``
 (normally by :class:`repro.fleet.supervisor.PlannerFleet`, not by hand).
@@ -104,7 +106,7 @@ class ShardWorker:
         # Serialized-response memo for the raw-byte hot path: once the
         # service answers a planning request from its result cache
         # (``"cached": true``) the response bytes are stable for every
-        # repeat, so the worker can skip the dispatch *and* the 6 KB
+        # repeat, so the worker can skip the dispatch *and* the 10–23 KB
         # ``json.dumps`` and replay the frame verbatim.  Keyed by the
         # request payload bytes and LRU-bounded by the same
         # ``result_cache_size`` as the service cache it shadows.

@@ -52,6 +52,7 @@ import numpy as np
 
 from repro.apps.base import ElasticApplication
 from repro.cloud.provider import CloudProvider, Lease
+from repro.core.capacity import configuration_capacity
 from repro.core.celia import Celia
 from repro.errors import InfeasibleError, ProvisioningError, ValidationError
 from repro.obs.metrics import global_registry
@@ -83,6 +84,17 @@ __all__ = ["RuntimeConfig", "RuntimeReport", "AdaptiveController",
 #: Residual demand floor (GI): keeps optimizer queries well-posed when
 #: the model believes the work is already done but ground truth disagrees.
 _MIN_RESIDUAL_GI = 1e-6
+
+
+def _delivered_rate(config: tuple[int, ...], capacities: np.ndarray,
+                    efficiency: float) -> float:
+    """Rate (GI/s) a configuration delivers at the observed efficiency.
+
+    ``U`` is Eq. 3 in the canonical arithmetic, the value its plan (and
+    :meth:`~repro.core.celia.Celia.predict`) computed, bit for bit.
+    """
+    return float(configuration_capacity(np.asarray(config),
+                                        capacities)[0]) * efficiency
 
 
 def degraded_accuracy_search(demand_fn, index, *, floor: float,
@@ -487,8 +499,8 @@ class AdaptiveController:
 
         policy = self.market_policy
         residual_t = max(state.deadline_hours - state.now_hours, 0.0)
-        rate = float(np.dot(np.asarray(config, dtype=float),
-                            self._capacities)) * state.rate_efficiency
+        rate = _delivered_rate(config, self._capacities,
+                               state.rate_efficiency)
         est_remaining = self._estimated_remaining_gi(state, state.accuracy)
         projected = (est_remaining / rate / SECONDS_PER_HOUR
                      if rate > 0 else float("inf"))

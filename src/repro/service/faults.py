@@ -13,6 +13,7 @@ rejection / deadline behavior without relying on machine speed.
 
 from __future__ import annotations
 
+import asyncio
 import time
 from dataclasses import dataclass
 
@@ -23,10 +24,14 @@ __all__ = ["ServiceFaults"]
 
 @dataclass(frozen=True)
 class ServiceFaults:
-    """Deterministic compute-path delays, injected inside worker threads.
+    """Deterministic delays on the service's two compute paths.
 
-    ``warm_delay_s`` stretches the one-time per-signature state build;
-    ``compute_delay_s`` stretches every batch evaluation.  Zero (the
+    ``warm_delay_s`` stretches the per-signature state build, inside the
+    executor thread that builds it.  ``compute_delay_s`` delays every
+    select batch and every ``predict``/``plan``/``replan`` computation
+    as an awaited pause on the event loop, before the work starts: a
+    select batch runs on the loop itself, so a blocking sleep there
+    would stall admission control and deadlines with it.  Zero (the
     default) disables the fault entirely.
     """
 
@@ -42,7 +47,7 @@ class ServiceFaults:
         if self.warm_delay_s > 0:
             time.sleep(self.warm_delay_s)
 
-    def on_compute(self) -> None:
-        """Apply the compute-path delay (runs in an executor thread)."""
+    async def on_compute(self) -> None:
+        """Apply the compute-path delay (awaited on the event loop)."""
         if self.compute_delay_s > 0:
-            time.sleep(self.compute_delay_s)
+            await asyncio.sleep(self.compute_delay_s)

@@ -31,9 +31,16 @@ Three serving mechanics sit on top of the warm state:
   endpoint.
 
 Identical requests are answered from a bounded LRU result cache without
-consuming queue capacity.  All heavy computation runs in executor
-threads, so the event loop — and with it admission control — stays
-responsive while a batch is being evaluated.
+consuming queue capacity.
+
+Where the work runs: a select batch is a fraction of a millisecond of
+NumPy, so it runs in a task on the event loop — a thread hop would cost
+more than the batch.  State builds and ``plan``/``replan`` (which may
+sweep the full space) run in executor threads, so the loop, and with it
+admission control, stays responsive meanwhile.  A signature's
+measurements (Section IV's characterization and demand fit) outlive its
+warm state in a bounded table, so an evicted signature rebuilds only its
+structured index, in about 2 ms.
 """
 
 from __future__ import annotations
@@ -49,9 +56,11 @@ from dataclasses import dataclass
 from repro.apps import application_by_name
 from repro.cloud.catalog import Catalog, ec2_catalog
 from repro.core.celia import Celia
+from repro.core.characterization import CharacterizationResult
 from repro.core.optimizer import MinCostIndex
 from repro.core.planner import max_accuracy_plan, max_problem_size_plan
 from repro.errors import ReproError, ValidationError
+from repro.measurement.fitting import FittedDemand
 from repro.obs.trace import get_tracer
 from repro.service.faults import ServiceFaults
 from repro.service.metrics import MetricsRegistry
@@ -72,6 +81,14 @@ __all__ = [
 
 #: Applications the service will warm state for.
 KNOWN_APPS = ("x264", "galaxy", "sand")
+
+#: Evicted signatures whose measurements the service keeps (the oldest
+#: eviction dropped first).  An entry — a ``CharacterizationResult`` and a
+#: ``FittedDemand``, both frozen — is ~1.1 KB pickled and ~2.3 KB as live
+#: objects, against 35 KB (quota 3) to 223 KB (quota 5) pickled for one
+#: structured index: 1,024 entries hold ~2.3 MB, about what ten quota-5
+#: indexes take, for a tenant population far beyond ``max_warm_states``.
+MAX_KEPT_MEASUREMENTS = 1024
 
 
 class ServiceSaturatedError(ReproError):
@@ -103,9 +120,10 @@ class ServiceConfig:
     result_cache_size: int = 1024
     #: LRU cap on warm signatures (None = unbounded).  With a fleet of
     #: shards serving an open tenant population this is the RAM bound:
-    #: the least-recently-used signature's state is dropped and lazily
-    #: rebuilt on its next request — characterization plus a
-    #: millisecond structured build, bit-identical either way.
+    #: the least-recently-used signature's structured index (and any
+    #: ``plan``/``replan`` evaluation arrays) is dropped and lazily
+    #: rebuilt on its next request from the kept measurements — about
+    #: 2 ms, bit-identical either way.
     max_warm_states: "int | None" = None
     #: Deadline applied when a request does not carry its own.
     default_timeout_s: float = 30.0
@@ -229,9 +247,14 @@ class PlannerService:
             lambda quota: ec2_catalog(max_nodes_per_type=quota))
         self._states: OrderedDict[SpaceSignature, _WarmState] = OrderedDict()
         self._state_locks: dict[SpaceSignature, asyncio.Lock] = {}
+        #: Measurements of evicted signatures, oldest eviction first (at
+        #: most ``MAX_KEPT_MEASUREMENTS``); a rebuild takes its entry.
+        self._measurements: OrderedDict[
+            SpaceSignature, tuple[CharacterizationResult, FittedDemand]] = \
+            OrderedDict()
         #: Select queries waiting for their signature's next batch.
         self._pending: dict[SpaceSignature, list[_PendingSelect]] = {}
-        #: Signatures with a batch in an executor thread.
+        #: Signatures with a batch in flight.
         self._running: set[SpaceSignature] = set()
         self._result_cache: OrderedDict[str, dict] = OrderedDict()
         self._in_flight = 0
@@ -275,7 +298,8 @@ class PlannerService:
             if state is None:
                 t0 = time.perf_counter()
                 state = await asyncio.get_running_loop().run_in_executor(
-                    None, self._build_state, signature)
+                    None, self._build_state, signature,
+                    self._measurements.pop(signature, None))
                 self._states[signature] = state
                 self.metrics.gauge("warm_signatures").set(len(self._states))
                 self.metrics.histogram("warm_build_s").observe(
@@ -294,8 +318,8 @@ class PlannerService:
 
         Signatures with a queued or running micro-batch are skipped —
         their flush still needs the state — and picked up by a later
-        eviction pass.  An evicted signature rebuilds lazily (and
-        bit-identically) on its next request.
+        eviction pass.  An evicted signature keeps its measurements and
+        rebuilds lazily (and bit-identically) on its next request.
         """
         limit = self.config.max_warm_states
         if limit is None:
@@ -309,12 +333,14 @@ class PlannerService:
                            and s not in self._running), None)
             if victim is None:
                 return  # everything old is mid-batch; try again later
-            del self._states[victim]
+            self._keep_measurements(victim, self._states.pop(victim))
             self._state_locks.pop(victim, None)
             self.metrics.counter("warm_evictions").increment()
             self.metrics.gauge("warm_signatures").set(len(self._states))
 
-    def _build_state(self, signature: SpaceSignature) -> _WarmState:
+    def _build_state(self, signature: SpaceSignature,
+                     kept: "tuple[CharacterizationResult, FittedDemand] | None"
+                     ) -> _WarmState:
         self.faults.on_warm()
         celia = Celia(
             self._catalog_factory(signature.quota),
@@ -322,9 +348,18 @@ class PlannerService:
             workers=self.config.workers,
             cache_dir=self.config.cache_dir,
         )
-        return _WarmState(celia, application_by_name(signature.app,
-                                                     seed=signature.seed),
-                          self.metrics)
+        app = application_by_name(signature.app, seed=signature.seed)
+        if kept is not None:
+            celia.adopt_measurements(app, *kept)
+        return _WarmState(celia, app, self.metrics)
+
+    def _keep_measurements(self, signature: SpaceSignature,
+                           state: _WarmState) -> None:
+        """Remember an evicted state's measurements for its rebuild."""
+        self._measurements[signature] = (
+            state.celia.characterization(state.app), state.demand_model)
+        while len(self._measurements) > MAX_KEPT_MEASUREMENTS:
+            self._measurements.popitem(last=False)
 
     # -- admission, caching, timeouts ------------------------------------------
 
@@ -456,14 +491,15 @@ class PlannerService:
         state = self._states[signature]
         self.metrics.counter("batches_total").increment()
         self.metrics.histogram("batch_size").observe(len(batch))
-        loop = asyncio.get_running_loop()
-        task = loop.run_in_executor(None, self._compute_batch, state, batch)
+        task = asyncio.get_running_loop().create_task(
+            self._compute_batch(state, batch))
         task.add_done_callback(
             lambda t: self._resolve_batch(signature, t, batch))
 
-    def _compute_batch(self, state: _WarmState,
-                       batch: list[_PendingSelect]) -> list[dict]:
-        self.faults.on_compute()
+    async def _compute_batch(self, state: _WarmState,
+                             batch: list[_PendingSelect]) -> list[dict]:
+        """One batch, on the event loop: cheaper than an executor hop."""
+        await self.faults.on_compute()
         results = state.index.select_batch(
             [p.demand_gi for p in batch],
             [p.deadline_hours for p in batch],
@@ -476,12 +512,15 @@ class PlannerService:
                        batch: list[_PendingSelect]) -> None:
         self._running.discard(signature)
         self._flush(signature)  # queries that queued behind this batch
-        error = task.exception()
-        payloads = None if error is not None else task.result()
+        cancelled = task.cancelled()  # only when the loop shuts down
+        error = None if cancelled else task.exception()
+        payloads = None if cancelled or error is not None else task.result()
         for i, p in enumerate(batch):
             if p.future.done():  # timed out and cancelled while computing
                 continue
-            if error is not None:
+            if cancelled:
+                p.future.cancel()
+            elif error is not None:
                 p.future.set_exception(error)
             else:
                 self._cache_put(p.cache_key, payloads[i])
@@ -618,15 +657,10 @@ class PlannerService:
                               work_done_gi: float,
                               efficiency: float) -> dict:
         state = await self._ensure_state(signature)
-
-        def compute() -> dict:
-            self.faults.on_compute()
-            return self._replan_payload(state, remaining_gi, residual_t,
-                                        residual_c, n, accuracy,
-                                        min_accuracy, work_done_gi,
-                                        efficiency)
-
-        return await asyncio.get_running_loop().run_in_executor(None, compute)
+        await self.faults.on_compute()
+        return await asyncio.get_running_loop().run_in_executor(
+            None, self._replan_payload, state, remaining_gi, residual_t,
+            residual_c, n, accuracy, min_accuracy, work_done_gi, efficiency)
 
     def _replan_payload(self, state: _WarmState, remaining_gi: float,
                         residual_t: float, residual_c: float,
@@ -682,13 +716,9 @@ class PlannerService:
                               fn, *args) -> dict:
         """Warm the state, run ``fn`` in an executor, cache its payload."""
         state = await self._ensure_state(signature)
-
-        def compute() -> dict:
-            self.faults.on_compute()
-            return fn(state, *args)
-
+        await self.faults.on_compute()
         payload = await asyncio.get_running_loop().run_in_executor(
-            None, compute)
+            None, fn, state, *args)
         self._cache_put(key, payload)
         return payload
 

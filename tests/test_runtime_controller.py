@@ -6,6 +6,7 @@ The quota-2 catalog keeps index builds cheap; the envelope
 when calm, genuinely threatened under chaos.
 """
 
+import numpy as np
 import pytest
 
 from repro.apps import application_by_name
@@ -18,6 +19,7 @@ from repro.runtime import (
     degraded_accuracy_search,
 )
 from repro.runtime.chaos import chaos_scenario, scenario_names
+from repro.runtime.controller import _delivered_rate
 from repro.runtime.events import (
     DegradationDecision,
     InfeasiblePlan,
@@ -231,3 +233,22 @@ class TestDegradedAccuracySearch:
             demand, index, floor=100, current=8000, integral=True,
             residual_deadline_hours=-1.0,
             residual_budget_dollars=200.0) is None
+
+
+class TestDeliveredRate:
+    @pytest.mark.parametrize("app_name", ["galaxy", "x264", "sand"])
+    def test_rate_is_the_predicted_capacity(self, app_name):
+        """The spot path projects a residual duration from the same ``U``
+        its plan used: ``Celia.predict``'s capacity, bit for bit."""
+        celia = Celia(ec2_catalog(max_nodes_per_type=5), seed=42,
+                      cache_dir=False)
+        app = application_by_name(app_name, seed=42)
+        n, a = (float(grid[0]) for grid in app.scale_down_grid())
+        capacities = celia.capacities(app)
+        rng = np.random.default_rng(2017)
+        configs = rng.integers(0, 6, size=(2000, len(celia.catalog)))
+        for config in configs[configs.sum(axis=1) > 0].tolist():
+            predicted = celia.predict(app, n, a, config).capacity_gips
+            for efficiency in (1.0, 0.87):
+                assert _delivered_rate(tuple(config), capacities,
+                                       efficiency) == predicted * efficiency

@@ -10,6 +10,9 @@ All service state lives on an asyncio loop; each test drives one with
 """
 
 import asyncio
+import json
+import threading
+from collections import Counter
 
 import pytest
 
@@ -146,6 +149,76 @@ class TestWarmStateEviction:
             service.metrics.snapshot()["counters"]
 
 
+#: One query per application, for tests that serve all three.
+APP_QUERIES = {"galaxy": (65536.0, 2000.0), "x264": (4096.0, 30.0),
+               "sand": (8_192e6, 0.32)}
+
+
+class TestKeptMeasurements:
+    """An evicted signature rebuilds its index from kept measurements."""
+
+    @staticmethod
+    def count_measurements(monkeypatch) -> dict[str, Counter]:
+        from repro.core import celia as celia_module
+
+        calls = {"characterize": Counter(), "demand": Counter()}
+        for key, name in (("characterize", "characterize_resources"),
+                          ("demand", "measure_demand_grid")):
+            real = getattr(celia_module, name)
+
+            def counted(app, *args, _real=real, _key=key, **kwargs):
+                calls[_key][app.name] += 1
+                return _real(app, *args, **kwargs)
+
+            monkeypatch.setattr(celia_module, name, counted)
+        return calls
+
+    @staticmethod
+    def serve_round_robin(service) -> list[str]:
+        async def run():
+            answers = []
+            for _ in range(2):
+                for app, (n, a) in APP_QUERIES.items():
+                    response = await service.select(app, n, a, 48.0, 350.0)
+                    answers.append(json.dumps(response["result"]))
+            return answers
+
+        return asyncio.run(run())
+
+    def test_eviction_rebuilds_without_remeasuring(self, monkeypatch):
+        calls = self.count_measurements(monkeypatch)
+        service = make_service(max_warm_states=1, result_cache_size=0)
+        answers = self.serve_round_robin(service)
+        snap = service.metrics.snapshot()
+        assert snap["histograms"]["warm_build_s"]["count"] == 6
+        assert snap["counters"]["warm_evictions"] == 5
+        once = Counter(APP_QUERIES.keys())
+        assert calls == {"characterize": once, "demand": once}
+        # Byte for byte what a service that never evicts answers.
+        assert answers == self.serve_round_robin(
+            make_service(result_cache_size=0))
+
+    def test_table_never_exceeds_its_bound(self, monkeypatch):
+        from repro.service import planner
+
+        monkeypatch.setattr(planner, "MAX_KEPT_MEASUREMENTS", 2)
+        calls = self.count_measurements(monkeypatch)
+        service = make_service(max_warm_states=1)
+
+        async def run():
+            for seed in range(5):
+                await service.warm("galaxy", seed=seed)
+                assert len(service._measurements) <= 2
+            assert [s.seed for s in service._measurements] == [2, 3]
+            await service.warm("galaxy", seed=3)  # kept: no measuring
+            await service.warm("galaxy", seed=0)  # dropped: measured again
+
+        asyncio.run(run())
+        assert calls["characterize"]["galaxy"] == 6
+        assert calls["demand"]["galaxy"] == 6
+        assert [s.seed for s in service._measurements] == [4, 3]
+
+
 class TestBatching:
     """The window-free flush rule: an idle signature flushes on the next
     loop tick; arrivals during a running batch queue behind it."""
@@ -243,6 +316,26 @@ class TestBatching:
 
         asyncio.run(run())
         assert self.batch_sizes(service) == (2, 1.0, 2.0)
+
+    def test_batch_runs_on_the_event_loop_thread(self, monkeypatch):
+        from repro.core.selection import StructuredIndex
+
+        threads = []
+        real = StructuredIndex.select_batch
+
+        def recorded(self, *args, **kwargs):
+            threads.append(threading.get_ident())
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(StructuredIndex, "select_batch", recorded)
+        service = make_service()
+
+        async def run():
+            await service.warm("galaxy")
+            await service.select("galaxy", **SELECT_ARGS)
+            return threading.get_ident()
+
+        assert threads == [asyncio.run(run())]
 
     def test_running_batch_pins_its_warm_state(self):
         # With one warm slot, warming x264 while galaxy's batch runs must
