@@ -119,6 +119,7 @@ from repro.pareto.frontier import pareto_mask_2d
 from repro.units import SECONDS_PER_HOUR
 
 __all__ = [
+    "FrontierSlice",
     "ParetoPoint",
     "SelectionResult",
     "FrontierIndex",
@@ -252,45 +253,61 @@ def _validate_query(demand_gi: float, deadline_hours: float,
         raise ValidationError("deadline and budget must be positive")
 
 
-def _materialize(
-    space: ConfigurationSpace,
-    all_t: np.ndarray,
-    all_c: np.ndarray,
-    all_rows: np.ndarray,
-    all_capacity: np.ndarray,
-    all_unit_cost: np.ndarray,
-    epsilons: tuple[float, float] | None,
-) -> list[ParetoPoint]:
-    """Order the surviving frontier, optionally ε-thin it, build the points.
+class FrontierSlice(NamedTuple):
+    """One query's answer as positions on the demand-invariant frontier.
 
-    Shared verbatim by the streamed, indexed and structured paths so
-    ordering, ε-filtering and decoding are identical: inputs arrive in
-    ascending evaluation-row order, output is sorted by time (stable, so
-    ties keep row order), all configurations decode in one vectorized
-    call, and each array converts to Python values with one ``tolist()``
-    (the same ints and floats as per-element ``int()``/``float()``).
+    Everything of a :class:`SelectionResult` that depends on the query:
+    ``positions`` index the index's frontier arrays (``frontier_rows``
+    and its capacity/unit-cost vectors) in the answer's time order, and
+    ``times``/``costs`` are the predictions at those positions, in the
+    same order.  The configurations, capacities and unit costs behind
+    the positions never change, so a caller can encode them once per
+    index (:class:`repro.service.serialize.SelectionEncoder`).
     """
-    if all_rows.size == 0:
-        return []
-    if epsilons is not None:
-        points = np.column_stack([all_t, all_c])
-        _, kept_tags = eps_sort(points, epsilons=list(epsilons),
-                                tags=list(range(all_t.size)))
-        eps_mask = np.zeros(all_t.size, dtype=bool)
-        eps_mask[np.asarray(kept_tags, dtype=np.int64)] = True
-        all_t, all_c, all_rows = all_t[eps_mask], all_c[eps_mask], \
-            all_rows[eps_mask]
-        all_capacity = all_capacity[eps_mask]
-        all_unit_cost = all_unit_cost[eps_mask]
-    order = np.argsort(all_t, kind="stable")
-    return [
+
+    demand_gi: float
+    deadline_hours: float
+    budget_dollars: float
+    feasible_count: int
+    positions: np.ndarray
+    times: np.ndarray
+    costs: np.ndarray
+
+
+def _time_order(times: np.ndarray, costs: np.ndarray,
+                epsilons: tuple[float, float] | None) -> np.ndarray:
+    """Positions of the surviving points, sorted by time.
+
+    Shared by every path so ordering and ε-filtering are identical:
+    inputs arrive in ascending evaluation-row order, ``epsilons`` first
+    ε-thins them (the filter sees that order), and the sort is stable,
+    so ties on time keep row order.
+    """
+    kept = np.arange(times.size)
+    if epsilons is not None and times.size:
+        _, kept_tags = eps_sort(np.column_stack([times, costs]),
+                                epsilons=list(epsilons),
+                                tags=list(range(times.size)))
+        kept = np.sort(np.asarray(kept_tags, dtype=np.int64))
+    return kept[np.argsort(times[kept], kind="stable")]
+
+
+def _points(space: ConfigurationSpace, rows: np.ndarray, times: np.ndarray,
+            costs: np.ndarray, capacity: np.ndarray,
+            unit_cost: np.ndarray) -> tuple[ParetoPoint, ...]:
+    """Build the points of an ordered frontier.
+
+    All configurations decode in one vectorized call, and each array
+    converts to Python values with one ``tolist()`` (the same ints and
+    floats as per-element ``int()``/``float()``).
+    """
+    return tuple(
         ParetoPoint(configuration=tuple(config), time_hours=t,
                     cost_dollars=c, capacity_gips=u, unit_cost_per_hour=p)
         for config, t, c, u, p in zip(
-            space.decode(all_rows[order] + 1).tolist(),
-            all_t[order].tolist(), all_c[order].tolist(),
-            all_capacity[order].tolist(), all_unit_cost[order].tolist())
-    ]
+            space.decode(rows + 1).tolist(), times.tolist(), costs.tolist(),
+            capacity.tolist(), unit_cost.tolist())
+    )
 
 
 class FrontierIndex:
@@ -426,6 +443,16 @@ class FrontierIndex:
         return self._block_size
 
     @property
+    def frontier_capacity(self) -> np.ndarray:
+        """``U`` (GIPS) of each frontier row, aligned with ``frontier_rows``."""
+        return self._frontier_capacity
+
+    @property
+    def frontier_unit_cost(self) -> np.ndarray:
+        """``C_u`` ($/h) of each frontier row, aligned with ``frontier_rows``."""
+        return self._frontier_unit_cost
+
+    @property
     def frontier_size(self) -> int:
         """Number of rows on the demand-invariant frontier."""
         return int(self.frontier_rows.size)
@@ -496,24 +523,11 @@ class FrontierIndex:
                *, epsilons: tuple[float, float] | None = None
                ) -> SelectionResult:
         """Algorithm 1 via the precomputed index (no pass over the space)."""
-        _validate_query(demand_gi, deadline_hours, budget_dollars)
-        times = demand_gi / self._frontier_capacity / SECONDS_PER_HOUR
-        costs = demand_gi * self._frontier_ratio / SECONDS_PER_HOUR
-        keep = (times < deadline_hours) & (costs < budget_dollars)
-        pareto_points = _materialize(
-            self.space, times[keep], costs[keep], self.frontier_rows[keep],
-            self._frontier_capacity[keep], self._frontier_unit_cost[keep],
-            epsilons,
-        )
-        return SelectionResult(
-            demand_gi=demand_gi,
-            deadline_hours=deadline_hours,
-            budget_dollars=budget_dollars,
-            total_configurations=self.space.size,
-            feasible_count=self.feasible_count(demand_gi, deadline_hours,
-                                               budget_dollars),
-            pareto=tuple(pareto_points),
-        )
+        (answer,) = self.slices([demand_gi], [deadline_hours],
+                                [budget_dollars], epsilons=epsilons)
+        return self.materialize(answer._replace(
+            demand_gi=demand_gi, deadline_hours=deadline_hours,
+            budget_dollars=budget_dollars))
 
     def select_batch(
         self,
@@ -525,14 +539,30 @@ class FrontierIndex:
     ) -> list[SelectionResult]:
         """Algorithm 1 for many (demand, deadline, budget) queries at once.
 
+        Each result is bit-identical to ``select(d, t, c)`` for the
+        matching query — this is what lets the planning service coalesce
+        concurrent requests without changing any answer.
+        """
+        return [self.materialize(answer) for answer in
+                self.slices(demands_gi, deadlines_hours, budgets_dollars,
+                            epsilons=epsilons)]
+
+    def slices(
+        self,
+        demands_gi: "np.ndarray | Sequence[float]",
+        deadlines_hours: "np.ndarray | Sequence[float]",
+        budgets_dollars: "np.ndarray | Sequence[float]",
+        *,
+        epsilons: tuple[float, float] | None = None,
+    ) -> list[FrontierSlice]:
+        """The demand-dependent half of Algorithm 1, for a batch.
+
         One vectorized pass computes every query's frontier times, costs
-        and feasibility mask as 2-D ``(queries, frontier)`` arrays; only
-        the per-query materialization loops in Python.  Division and
-        multiplication are applied elementwise under the same IEEE
-        rounding as the scalar path, so each returned result is
-        bit-identical to ``select(d, t, c)`` for the matching query —
-        this is what lets the planning service coalesce concurrent
-        requests without changing any answer.
+        and feasibility mask (the strict ``T < T'`` and ``C < C'``) as
+        2-D ``(queries, frontier)`` arrays, under the same IEEE rounding
+        as elementwise scalar code; only the per-query time order and
+        feasible count loop in Python.  :meth:`materialize` turns a
+        slice into its :class:`SelectionResult`.
         """
         demands = np.asarray(demands_gi, dtype=np.float64)
         deadlines = np.asarray(deadlines_hours, dtype=np.float64)
@@ -550,25 +580,31 @@ class FrontierIndex:
         costs = demands[:, None] * self._frontier_ratio[None, :] \
             / SECONDS_PER_HOUR
         keep = (times < deadlines[:, None]) & (costs < budgets[:, None])
-        results: list[SelectionResult] = []
+        slices = []
         for q in range(demands.size):
-            mask = keep[q]
-            pareto_points = _materialize(
-                self.space, times[q][mask], costs[q][mask],
-                self.frontier_rows[mask], self._frontier_capacity[mask],
-                self._frontier_unit_cost[mask], epsilons,
-            )
-            results.append(SelectionResult(
-                demand_gi=float(demands[q]),
-                deadline_hours=float(deadlines[q]),
-                budget_dollars=float(budgets[q]),
-                total_configurations=self.space.size,
-                feasible_count=self.feasible_count(
-                    float(demands[q]), float(deadlines[q]),
-                    float(budgets[q])),
-                pareto=tuple(pareto_points),
-            ))
-        return results
+            kept = np.flatnonzero(keep[q])
+            kept_times, kept_costs = times[q][kept], costs[q][kept]
+            order = _time_order(kept_times, kept_costs, epsilons)
+            d, t, c = (float(demands[q]), float(deadlines[q]),
+                       float(budgets[q]))
+            slices.append(FrontierSlice(
+                d, t, c, self.feasible_count(d, t, c), kept[order],
+                kept_times[order], kept_costs[order]))
+        return slices
+
+    def materialize(self, answer: FrontierSlice) -> SelectionResult:
+        """The :class:`SelectionResult` of one query's frontier slice."""
+        at = answer.positions
+        return SelectionResult(
+            demand_gi=answer.demand_gi,
+            deadline_hours=answer.deadline_hours,
+            budget_dollars=answer.budget_dollars,
+            total_configurations=self.space.size,
+            feasible_count=answer.feasible_count,
+            pareto=_points(self.space, self.frontier_rows[at], answer.times,
+                           answer.costs, self._frontier_capacity[at],
+                           self._frontier_unit_cost[at]),
+        )
 
 
 class StructuredIndex(FrontierIndex):
@@ -966,7 +1002,7 @@ def select_configurations(
         local = local_frontier(capacity[rows], ratio[rows])
         cand_index.append(rows[local] + start)
 
-    pareto_points: list[ParetoPoint] = []
+    pareto_points: tuple[ParetoPoint, ...] = ()
     if cand_index:
         all_rows = np.concatenate(cand_index)
         all_capacity = evaluation.capacity_gips[all_rows]
@@ -975,9 +1011,12 @@ def select_configurations(
         sel_rows = all_rows[final]
         all_t = demand_gi / all_capacity[final] / SECONDS_PER_HOUR
         all_c = demand_gi * all_ratio[final] / SECONDS_PER_HOUR
-        pareto_points = _materialize(
-            space, all_t, all_c, sel_rows, all_capacity[final],
-            evaluation.unit_cost_per_hour[sel_rows], epsilons)
+        order = _time_order(all_t, all_c, epsilons)
+        sel_rows = sel_rows[order]
+        pareto_points = _points(
+            space, sel_rows, all_t[order], all_c[order],
+            all_capacity[final][order],
+            evaluation.unit_cost_per_hour[sel_rows])
 
     return SelectionResult(
         demand_gi=demand_gi,
@@ -985,5 +1024,5 @@ def select_configurations(
         budget_dollars=budget_dollars,
         total_configurations=total,
         feasible_count=feasible_count,
-        pareto=tuple(pareto_points),
+        pareto=pareto_points,
     )

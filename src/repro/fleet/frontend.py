@@ -38,7 +38,10 @@ Routes:
 Errors are typed JSON envelopes (``{"error": {"code": ..., "message":
 ...}}``): 400 for a malformed request, 404 for an unknown route, 405
 for a known route under the wrong method, 413 for an oversized body,
-503/429 (+ ``Retry-After``) when shedding or draining.
+501 for a body sent with any ``Transfer-Encoding`` (only
+``Content-Length`` bodies are read; the connection closes after the
+501, since the rest of the stream cannot be framed), 503/429
+(+ ``Retry-After``) when shedding or draining.
 
 :func:`run_frontend` is the blocking entry point both commands share:
 signals, warm-up, the ready callback and the graceful drain.
@@ -72,8 +75,8 @@ _MAX_BODY_BYTES = 1 << 20
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 413: "Payload Too Large",
             422: "Unprocessable Entity", 429: "Too Many Requests",
-            500: "Internal Server Error", 503: "Service Unavailable",
-            504: "Gateway Timeout"}
+            500: "Internal Server Error", 501: "Not Implemented",
+            503: "Service Unavailable", 504: "Gateway Timeout"}
 
 _POST_ROUTES = {"/v1/select": "select", "/v1/predict": "predict",
                 "/v1/plan": "plan", "/v1/replan": "replan"}
@@ -262,9 +265,9 @@ class FleetFrontend:
                 self._head_cache[head] = parsed
         method, path, want_keep_alive, content_length, parse_error = parsed
         if parse_error is not None:
-            await self._write_response(writer, 400,
-                                       _error_body("invalid_request",
-                                                   parse_error),
+            status, code, message = parse_error
+            await self._write_response(writer, status,
+                                       _error_body(code, message),
                                        keep_alive=False)
             return False
         if content_length > _MAX_BODY_BYTES:
@@ -299,13 +302,17 @@ class FleetFrontend:
                 self._idle.set()
 
     @staticmethod
-    def _parse_head(head: bytes
-                    ) -> "tuple[str, str, bool, int, str | None]":
-        """``(method, path, keep_alive, content_length, error)``."""
+    def _parse_head(head: bytes) -> "tuple[str, str, bool, int, tuple | None]":
+        """``(method, path, keep_alive, content_length, error)``.
+
+        ``error`` is None or ``(status, code, message)``.
+        """
         lines = head.decode("latin-1").split("\r\n")
         parts = lines[0].split()
         if len(parts) != 3:
-            return "", "", False, 0, f"malformed request line {lines[0]!r}"
+            return "", "", False, 0, (
+                400, "invalid_request",
+                f"malformed request line {lines[0]!r}")
         method, path, version = parts
         keep_alive = not version.endswith("/1.0")
         content_length = 0
@@ -320,7 +327,13 @@ class FleetFrontend:
                 except ValueError:
                     content_length = -1
                 if content_length < 0:
-                    return method, path, keep_alive, 0, "bad Content-Length"
+                    return method, path, keep_alive, 0, (
+                        400, "invalid_request", "bad Content-Length")
+            elif name == "transfer-encoding":
+                return method, path, False, 0, (
+                    501, "unsupported_transfer_encoding",
+                    f"Transfer-Encoding {value.strip()!r} is not "
+                    f"supported; send the body with Content-Length")
             elif name == "connection":
                 token = value.strip().lower()
                 if token == "close":

@@ -9,10 +9,10 @@ One frame is a compact JSON header line followed by a raw payload of
 The payload is the request/response JSON **as raw bytes**: the front
 end forwards the client's HTTP body without re-serializing it, and
 streams the worker's response bytes straight into the HTTP response
-without a decode/encode round trip — on quota-5 select responses of
-10–23 KB (by frontier size) that saves two full JSON passes per
-request, which is most of what makes the fleet hot path cheaper than
-connection-per-request serving.
+without a decode/encode round trip.  Quota-5 select responses run to
+10–23 KB (by frontier size); the worker writes them from text the
+service encoded once (a select's from per-frontier-point fragments), so
+no side of the hop runs a JSON pass over a response.
 
 The link stays open for the worker's whole life, so a routed request
 costs one write and one read — no per-request connection setup, no HTTP

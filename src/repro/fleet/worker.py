@@ -5,8 +5,12 @@ assigns it.  A fleet worker process answers framed requests (see
 :mod:`repro.fleet.rpc`) over a Unix-domain socket; ``celia serve`` runs
 one shard in the front end's own process and calls it directly.  Both
 answer through :meth:`ShardWorker.answer`, and planning requests flow
-through :func:`repro.service.server.dispatch_request`, so a select is
-byte-identical whichever way it was served.
+through :func:`repro.service.server.dispatch`, so a select is
+byte-identical whichever way it was served.  A planning answer arrives
+as an :class:`~repro.service.planner.Envelope` whose result the service
+encoded once, when it produced it (a select from per-frontier-point
+fragments); the worker writes the envelope's bytes around that text and
+never runs ``json.dumps`` over a result.
 
 Beyond the planning kinds the worker answers control frames:
 
@@ -19,10 +23,10 @@ Beyond the planning kinds the worker answers control frames:
 
 Repeated planning requests ride a second-level memo: once the service
 answers a request from its result cache the worker remembers the
-*serialized* response bytes (LRU, same capacity as the result cache)
-and replays the frame without re-dispatching or re-encoding — with the
-shard router pinning each warm key to one worker, a shard's repeat
-traffic never pays the JSON encode twice.
+response bytes (LRU, same capacity as the result cache) and replays the
+frame without decoding the request or dispatching it — with the shard
+router pinning each warm key to one worker, a shard's repeat traffic is
+a dict lookup.
 
 Warm state is bounded: ``--max-warm`` forwards to
 ``ServiceConfig.max_warm_states``, so an unbounded tenant population
@@ -48,8 +52,8 @@ from collections import OrderedDict
 
 from repro.fleet.rpc import encode_reply_frame
 from repro.obs.metrics import global_registry, merge_snapshots
-from repro.service.planner import PlannerService, ServiceConfig
-from repro.service.server import dispatch_request
+from repro.service.planner import Envelope, PlannerService, ServiceConfig
+from repro.service.server import dispatch
 
 __all__ = ["ShardWorker", "build_service", "main"]
 
@@ -103,12 +107,12 @@ class ShardWorker:
         self.socket_path = socket_path
         self._server: asyncio.AbstractServer | None = None
         self._tasks: set[asyncio.Task] = set()
-        # Serialized-response memo for the raw-byte hot path: once the
+        # Response-bytes memo for the raw-byte hot path: once the
         # service answers a planning request from its result cache
         # (``"cached": true``) the response bytes are stable for every
-        # repeat, so the worker can skip the dispatch *and* the 10–23 KB
-        # ``json.dumps`` and replay the frame verbatim.  Keyed by the
-        # request payload bytes and LRU-bounded by the same
+        # repeat, so the worker can skip the request decode, the
+        # dispatch and the envelope build and replay the frame verbatim.
+        # Keyed by the request payload bytes and LRU-bounded by the same
         # ``result_cache_size`` as the service cache it shadows.
         self._raw_responses: OrderedDict[tuple[str, bytes], bytes] = \
             OrderedDict()
@@ -212,19 +216,20 @@ class ShardWorker:
         except Exception as exc:  # never kill the worker on one frame
             status, body = 500, {"error": {"code": "internal",
                                            "message": str(exc)}}
-        # Default (spaced) separators: the same bytes for every
-        # transport and for the in-process ``dispatch_request`` answer.
-        raw = json.dumps(body).encode("utf-8")
-        if status == 200 and body.get("cached") \
-                and not kind.startswith("__"):
-            limit = self.service.config.result_cache_size
-            if limit > 0:
-                self._raw_responses[(kind, payload)] = raw
-                while len(self._raw_responses) > limit:
-                    self._raw_responses.popitem(last=False)
+        if not isinstance(body, Envelope):
+            # Control answers and error envelopes: small dicts, encoded
+            # with default (spaced) separators like every envelope.
+            return status, json.dumps(body).encode("utf-8")
+        raw = body.to_bytes()
+        limit = self.service.config.result_cache_size
+        if body.cached and limit > 0:
+            self._raw_responses[(kind, payload)] = raw
+            while len(self._raw_responses) > limit:
+                self._raw_responses.popitem(last=False)
         return status, raw
 
-    async def _dispatch(self, request: dict) -> tuple[int, dict]:
+    async def _dispatch(self, request: dict
+                        ) -> "tuple[int, Envelope | dict]":
         kind = request.get("kind")
         if kind == "__ping__":
             return 200, {"ok": True, "worker": self.worker_id}
@@ -252,7 +257,7 @@ class ShardWorker:
                 seed=request.get("seed"))
             return 200, {"worker": self.worker_id, "app": signature.app,
                          "quota": signature.quota, "seed": signature.seed}
-        return await dispatch_request(self.service, request)
+        return await dispatch(self.service, request)
 
 
 def build_service(args: argparse.Namespace) -> PlannerService:

@@ -13,7 +13,7 @@ Three serving mechanics sit on top of the warm state:
 
 * **micro-batching** — ``select`` requests that share a space signature
   are coalesced (up to ``max_batch``) into one vectorized
-  :meth:`~repro.core.selection.FrontierIndex.select_batch` pass over the
+  :meth:`~repro.core.selection.FrontierIndex.slices` pass over the
   structured index, whose per-query results are bit-identical to
   individual calls.  There is no timer: a request for an idle signature
   flushes on the next event-loop tick, together with whatever arrived in
@@ -33,6 +33,17 @@ Three serving mechanics sit on top of the warm state:
 Identical requests are answered from a bounded LRU result cache without
 consuming queue capacity.
 
+Answers are encoded once, when they are produced: the result cache holds
+each payload as JSON text, and a request's :class:`Envelope` wraps that
+text.  A select's text comes from the warm state's
+:class:`~repro.service.serialize.SelectionEncoder` — per-frontier-point
+fragments, each built the first time a query shows its point — so a
+select builds no :class:`~repro.core.selection.ParetoPoint` and no dict
+tree; it is the same text as ``json.dumps(selection_to_dict(...))``.
+:meth:`handle` and the per-kind methods decode the envelope back to a
+dict for in-process callers; the shard worker sends its bytes as they
+are.
+
 Where the work runs: a select batch is a fraction of a millisecond of
 NumPy, so it runs in a task on the event loop — a thread hop would cost
 more than the batch.  State builds and ``plan``/``replan`` (which may
@@ -46,12 +57,14 @@ structured index, in about 2 ms.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import threading
 import time
 from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.apps import application_by_name
 from repro.cloud.catalog import Catalog, ec2_catalog
@@ -65,13 +78,18 @@ from repro.obs.trace import get_tracer
 from repro.service.faults import ServiceFaults
 from repro.service.metrics import MetricsRegistry
 from repro.service.serialize import (
+    SelectionEncoder,
     plan_to_dict,
     prediction_to_dict,
-    selection_to_dict,
+    # Unused here since selects are encoded from fragments; the
+    # benchmark ledger (benchmarks/suite/ledger.py) still wraps this
+    # binding as its ``service.serialize`` layer.
+    selection_to_dict,  # noqa: F401
 )
 
 __all__ = [
     "KNOWN_APPS",
+    "Envelope",
     "PlannerService",
     "RequestTimeoutError",
     "ServiceConfig",
@@ -149,6 +167,41 @@ class ServiceConfig:
             raise ValidationError("max_warm_states must be >= 1 (or None)")
 
 
+class Envelope(NamedTuple):
+    """One answered request, its result already JSON text.
+
+    :meth:`to_bytes` is what ``json.dumps`` writes for the response
+    ``{"kind", "cached", "result"}``, built around ``result`` without
+    re-encoding it; :meth:`to_dict` is the same response decoded.
+    """
+
+    kind: str
+    cached: bool
+    result: str
+
+    def to_bytes(self) -> bytes:
+        """The response as UTF-8 JSON (``json.dumps`` spacing)."""
+        cached = "true" if self.cached else "false"
+        return (f'{{"kind": "{self.kind}", "cached": {cached}, '
+                f'"result": {self.result}}}').encode("utf-8")
+
+    def to_dict(self) -> dict:
+        """The response as a dict (the result decoded from its text)."""
+        return {"kind": self.kind, "cached": self.cached,
+                "result": json.loads(self.result)}
+
+
+def _decoded(method):
+    """The public face of an :class:`Envelope` method: the same call,
+    answering the envelope decoded to a dict."""
+
+    @functools.wraps(method)
+    async def decoded(self, *args, **kwargs) -> dict:
+        return (await method(self, *args, **kwargs)).to_dict()
+
+    return decoded
+
+
 @dataclass(frozen=True, slots=True)
 class SpaceSignature:
     """What the warm state depends on — the micro-batching key."""
@@ -176,6 +229,7 @@ class _WarmState:
         # that builds the state, so queries never pay for them.
         self.index = celia.selection_index(app)
         self.index.ensure_feasibility()
+        self.encoder = SelectionEncoder(self.index)
         self.demand_model = celia.demand_model(app)
         self._min_cost: "MinCostIndex | None" = None
         self._min_cost_lock = threading.Lock()
@@ -256,7 +310,8 @@ class PlannerService:
         self._pending: dict[SpaceSignature, list[_PendingSelect]] = {}
         #: Signatures with a batch in flight.
         self._running: set[SpaceSignature] = set()
-        self._result_cache: OrderedDict[str, dict] = OrderedDict()
+        #: Canonical request → result JSON text.
+        self._result_cache: OrderedDict[str, str] = OrderedDict()
         self._in_flight = 0
 
     # -- signatures and warm state ---------------------------------------------
@@ -391,7 +446,7 @@ class PlannerService:
         payload.update(fields)
         return json.dumps(payload, sort_keys=True)
 
-    def _cache_get(self, key: str) -> dict | None:
+    def _cache_get(self, key: str) -> str | None:
         cached = self._result_cache.get(key)
         if cached is None:
             self.metrics.counter("cache_misses").increment()
@@ -400,7 +455,7 @@ class PlannerService:
         self.metrics.counter("cache_hits").increment()
         return cached
 
-    def _cache_put(self, key: str, payload: dict) -> None:
+    def _cache_put(self, key: str, payload: str) -> None:
         if self.config.result_cache_size == 0:
             return
         self._result_cache[key] = payload
@@ -423,45 +478,52 @@ class PlannerService:
                 timeout_s=timeout,
             ) from None
 
-    def _respond(self, kind: str, payload: dict, *, cached: bool,
-                 t0: float) -> dict:
-        latency = time.perf_counter() - t0
+    async def _serve(self, kind: str, key: "str | None", compute,
+                     timeout_s: float | None) -> Envelope:
+        """Answer from the result cache, or admit ``compute()``.
+
+        ``compute`` returns an awaitable of the result's JSON text, run
+        under the request's deadline; a ``key`` of None skips the cache.
+        """
+        t0 = time.perf_counter()
+        cached = None if key is None else self._cache_get(key)
+        if cached is None:
+            self._admit()
+            try:
+                payload = await self._with_deadline(compute(), timeout_s,
+                                                    kind)
+            finally:
+                self._release()
+        else:
+            payload = cached
         self.metrics.counter("requests_total").increment()
         self.metrics.counter(f"requests_{kind}").increment()
-        self.metrics.histogram(f"latency_{kind}_s").observe(latency)
-        return {"kind": kind, "cached": cached, "result": payload}
+        self.metrics.histogram(f"latency_{kind}_s").observe(
+            time.perf_counter() - t0)
+        return Envelope(kind, cached is not None, payload)
 
     # -- select: micro-batched -------------------------------------------------
 
-    async def select(self, app: str, n: float, a: float,
-                     deadline_hours: float, budget_dollars: float,
-                     *, top: int = 0, quota: int | None = None,
-                     seed: int | None = None,
-                     timeout_s: float | None = None) -> dict:
+    async def _select(self, app: str, n: float, a: float,
+                      deadline_hours: float, budget_dollars: float,
+                      *, top: int = 0, quota: int | None = None,
+                      seed: int | None = None,
+                      timeout_s: float | None = None) -> Envelope:
         """Algorithm 1 under (deadline, budget), batched across callers."""
-        t0 = time.perf_counter()
         signature = self.signature(app, quota=quota, seed=seed)
         key = self._cache_key("select", signature, n=float(n), a=float(a),
                               deadline_hours=float(deadline_hours),
                               budget_dollars=float(budget_dollars),
                               top=int(top))
-        cached = self._cache_get(key)
-        if cached is not None:
-            return self._respond("select", cached, cached=True, t0=t0)
-        self._admit()
-        try:
-            payload = await self._with_deadline(
-                self._select_uncached(signature, key, float(n), float(a),
-                                      float(deadline_hours),
-                                      float(budget_dollars), int(top)),
-                timeout_s, "select")
-        finally:
-            self._release()
-        return self._respond("select", payload, cached=False, t0=t0)
+        return await self._serve("select", key, lambda: self._select_uncached(
+            signature, key, float(n), float(a), float(deadline_hours),
+            float(budget_dollars), int(top)), timeout_s)
+
+    select = _decoded(_select)
 
     async def _select_uncached(self, signature: SpaceSignature, key: str,
                                n: float, a: float, deadline_hours: float,
-                               budget_dollars: float, top: int) -> dict:
+                               budget_dollars: float, top: int) -> str:
         state = await self._ensure_state(signature)
         demand = state.celia.demand_gi(state.app, n, a)
         future: asyncio.Future = asyncio.get_running_loop().create_future()
@@ -497,16 +559,20 @@ class PlannerService:
             lambda t: self._resolve_batch(signature, t, batch))
 
     async def _compute_batch(self, state: _WarmState,
-                             batch: list[_PendingSelect]) -> list[dict]:
-        """One batch, on the event loop: cheaper than an executor hop."""
+                             batch: list[_PendingSelect]) -> list[str]:
+        """One batch, on the event loop: cheaper than an executor hop.
+
+        The index hands back each query's frontier slice as it is, and
+        the encoder writes its text: no points, no dicts.
+        """
         await self.faults.on_compute()
-        results = state.index.select_batch(
+        answers = state.index.slices(
             [p.demand_gi for p in batch],
             [p.deadline_hours for p in batch],
             [p.budget_dollars for p in batch],
         )
-        return [selection_to_dict(result, top=p.top)
-                for result, p in zip(results, batch)]
+        return [state.encoder.encode(answer, top=p.top)
+                for answer, p in zip(answers, batch)]
 
     def _resolve_batch(self, signature: SpaceSignature, task,
                        batch: list[_PendingSelect]) -> None:
@@ -528,43 +594,34 @@ class PlannerService:
 
     # -- predict / plan: per-request compute -----------------------------------
 
-    async def predict(self, app: str, n: float, a: float,
-                      configuration: "list[int] | tuple[int, ...]",
-                      *, quota: int | None = None, seed: int | None = None,
-                      timeout_s: float | None = None) -> dict:
+    async def _predict(self, app: str, n: float, a: float,
+                       configuration: "list[int] | tuple[int, ...]",
+                       *, quota: int | None = None, seed: int | None = None,
+                       timeout_s: float | None = None) -> Envelope:
         """Eq. 2/5 prediction for one explicit configuration."""
-        t0 = time.perf_counter()
         signature = self.signature(app, quota=quota, seed=seed)
         config = [int(v) for v in configuration]
         key = self._cache_key("predict", signature, n=float(n), a=float(a),
                               configuration=config)
-        cached = self._cache_get(key)
-        if cached is not None:
-            return self._respond("predict", cached, cached=True, t0=t0)
-        self._admit()
-        try:
-            payload = await self._with_deadline(
-                self._compute_simple(signature, key, self._predict_payload,
-                                     float(n), float(a), tuple(config)),
-                timeout_s, "predict")
-        finally:
-            self._release()
-        return self._respond("predict", payload, cached=False, t0=t0)
+        return await self._serve("predict", key, lambda: self._compute_simple(
+            signature, key, self._predict_payload, float(n), float(a),
+            tuple(config)), timeout_s)
+
+    predict = _decoded(_predict)
 
     def _predict_payload(self, state: _WarmState, n: float, a: float,
-                         configuration: tuple[int, ...]) -> dict:
-        return prediction_to_dict(
-            state.celia.predict(state.app, n, a, configuration))
+                         configuration: tuple[int, ...]) -> str:
+        return json.dumps(prediction_to_dict(
+            state.celia.predict(state.app, n, a, configuration)))
 
-    async def plan(self, app: str, deadline_hours: float,
-                   budget_dollars: float, *, fix_size: float | None = None,
-                   fix_accuracy: float | None = None,
-                   knob_range: tuple[float, float],
-                   integral: bool = False, quota: int | None = None,
-                   seed: int | None = None,
-                   timeout_s: float | None = None) -> dict:
+    async def _plan(self, app: str, deadline_hours: float,
+                    budget_dollars: float, *, fix_size: float | None = None,
+                    fix_accuracy: float | None = None,
+                    knob_range: tuple[float, float],
+                    integral: bool = False, quota: int | None = None,
+                    seed: int | None = None,
+                    timeout_s: float | None = None) -> Envelope:
         """Best affordable accuracy (or problem size) under (T', C')."""
-        t0 = time.perf_counter()
         if (fix_size is None) == (fix_accuracy is None):
             raise ValidationError(
                 "exactly one of fix_size / fix_accuracy must be given")
@@ -575,26 +632,18 @@ class PlannerService:
             budget_dollars=float(budget_dollars), fix_size=fix_size,
             fix_accuracy=fix_accuracy, range=[lo, hi],
             integral=bool(integral))
-        cached = self._cache_get(key)
-        if cached is not None:
-            return self._respond("plan", cached, cached=True, t0=t0)
-        self._admit()
-        try:
-            payload = await self._with_deadline(
-                self._compute_simple(signature, key, self._plan_payload,
-                                     float(deadline_hours),
-                                     float(budget_dollars), fix_size,
-                                     fix_accuracy, (lo, hi), bool(integral)),
-                timeout_s, "plan")
-        finally:
-            self._release()
-        return self._respond("plan", payload, cached=False, t0=t0)
+        return await self._serve("plan", key, lambda: self._compute_simple(
+            signature, key, self._plan_payload, float(deadline_hours),
+            float(budget_dollars), fix_size, fix_accuracy, (lo, hi),
+            bool(integral)), timeout_s)
+
+    plan = _decoded(_plan)
 
     def _plan_payload(self, state: _WarmState, deadline_hours: float,
                       budget_dollars: float, fix_size: float | None,
                       fix_accuracy: float | None,
                       knob_range: tuple[float, float],
-                      integral: bool) -> dict:
+                      integral: bool) -> str:
         if fix_size is not None:
             plan = max_accuracy_plan(
                 state.demand_model, state.min_cost, float(fix_size),
@@ -605,16 +654,16 @@ class PlannerService:
                 state.demand_model, state.min_cost, float(fix_accuracy),
                 knob_range, deadline_hours, budget_dollars,
                 integral=integral)
-        return plan_to_dict(plan)
+        return json.dumps(plan_to_dict(plan))
 
-    async def replan(self, app: str, remaining_gi: float,
-                     residual_deadline_hours: float,
-                     residual_budget_dollars: float, *,
-                     n: float | None = None, accuracy: float | None = None,
-                     min_accuracy: float | None = None,
-                     work_done_gi: float = 0.0, efficiency: float = 1.0,
-                     quota: int | None = None, seed: int | None = None,
-                     timeout_s: float | None = None) -> dict:
+    async def _replan(self, app: str, remaining_gi: float,
+                      residual_deadline_hours: float,
+                      residual_budget_dollars: float, *,
+                      n: float | None = None, accuracy: float | None = None,
+                      min_accuracy: float | None = None,
+                      work_done_gi: float = 0.0, efficiency: float = 1.0,
+                      quota: int | None = None, seed: int | None = None,
+                      timeout_s: float | None = None) -> Envelope:
         """Re-plan over residual state for a closed-loop runtime.
 
         Finds the cheapest configuration finishing ``remaining_gi`` GI
@@ -627,27 +676,17 @@ class PlannerService:
         Every call lands in ``replans_total``; degraded answers also in
         ``degradations_total``.
         """
-        t0 = time.perf_counter()
         if remaining_gi <= 0:
             raise ValidationError("remaining_gi must be positive")
         if not 0 < efficiency <= 1:
             raise ValidationError("efficiency must be in (0, 1]")
         signature = self.signature(app, quota=quota, seed=seed)
-        self._admit()
-        try:
-            payload = await self._with_deadline(
-                self._compute_replan(signature, float(remaining_gi),
-                                     float(residual_deadline_hours),
-                                     float(residual_budget_dollars),
-                                     n, accuracy, min_accuracy,
-                                     float(work_done_gi), float(efficiency)),
-                timeout_s, "replan")
-        finally:
-            self._release()
-        self.metrics.counter("replans_total").increment()
-        if payload.get("degraded"):
-            self.metrics.counter("degradations_total").increment()
-        return self._respond("replan", payload, cached=False, t0=t0)
+        return await self._serve("replan", None, lambda: self._compute_replan(
+            signature, float(remaining_gi), float(residual_deadline_hours),
+            float(residual_budget_dollars), n, accuracy, min_accuracy,
+            float(work_done_gi), float(efficiency)), timeout_s)
+
+    replan = _decoded(_replan)
 
     async def _compute_replan(self, signature: SpaceSignature,
                               remaining_gi: float, residual_t: float,
@@ -655,12 +694,16 @@ class PlannerService:
                               accuracy: float | None,
                               min_accuracy: float | None,
                               work_done_gi: float,
-                              efficiency: float) -> dict:
+                              efficiency: float) -> str:
         state = await self._ensure_state(signature)
         await self.faults.on_compute()
-        return await asyncio.get_running_loop().run_in_executor(
+        payload = await asyncio.get_running_loop().run_in_executor(
             None, self._replan_payload, state, remaining_gi, residual_t,
             residual_c, n, accuracy, min_accuracy, work_done_gi, efficiency)
+        self.metrics.counter("replans_total").increment()
+        if payload["degraded"]:
+            self.metrics.counter("degradations_total").increment()
+        return json.dumps(payload)
 
     def _replan_payload(self, state: _WarmState, remaining_gi: float,
                         residual_t: float, residual_c: float,
@@ -713,8 +756,8 @@ class PlannerService:
                 "cost_dollars": degraded_answer.cost_dollars}
 
     async def _compute_simple(self, signature: SpaceSignature, key: str,
-                              fn, *args) -> dict:
-        """Warm the state, run ``fn`` in an executor, cache its payload."""
+                              fn, *args) -> str:
+        """Warm the state, run ``fn`` in an executor, cache its text."""
         state = await self._ensure_state(signature)
         await self.faults.on_compute()
         payload = await asyncio.get_running_loop().run_in_executor(
@@ -725,6 +768,10 @@ class PlannerService:
     # -- generic request dispatch (used by the HTTP front-end) -----------------
 
     async def handle(self, request: dict) -> dict:
+        """:meth:`answer`, decoded to a dict."""
+        return (await self.answer(request)).to_dict()
+
+    async def answer(self, request: dict) -> Envelope:
         """Dispatch one decoded JSON request by its ``kind`` field.
 
         Arguments:
@@ -732,7 +779,8 @@ class PlannerService:
                 ``kind`` is one of ``select``/``predict``/``plan``/
                 ``replan``, plus that kind's fields (see ``docs/api.md``).
 
-        Returns the response envelope ``{"kind", "cached", "result"}``.
+        Returns the response :class:`Envelope` (``kind``, ``cached``,
+        ``result`` as JSON text).
 
         Raises:
             ValidationError: Malformed or unknown-kind requests.
@@ -746,17 +794,17 @@ class PlannerService:
         with get_tracer().span(f"service.{kind}"):
             return await self._handle_inner(kind, request)
 
-    async def _handle_inner(self, kind, request: dict) -> dict:
+    async def _handle_inner(self, kind, request: dict) -> Envelope:
         common = {k: request.get(k) for k in ("quota", "seed", "timeout_s")}
         try:
             if kind == "select":
-                return await self.select(
+                return await self._select(
                     request["app"], float(request["n"]), float(request["a"]),
                     float(request["deadline_hours"]),
                     float(request["budget_dollars"]),
                     top=int(request.get("top", 0)), **common)
             if kind == "predict":
-                return await self.predict(
+                return await self._predict(
                     request["app"], float(request["n"]), float(request["a"]),
                     request["configuration"], **common)
             if kind == "plan":
@@ -764,7 +812,7 @@ class PlannerService:
                 if not (isinstance(knob_range, (list, tuple))
                         and len(knob_range) == 2):
                     raise ValidationError("range must be [lo, hi]")
-                return await self.plan(
+                return await self._plan(
                     request["app"], float(request["deadline_hours"]),
                     float(request["budget_dollars"]),
                     fix_size=request.get("fix_size"),
@@ -772,7 +820,7 @@ class PlannerService:
                     knob_range=(float(knob_range[0]), float(knob_range[1])),
                     integral=bool(request.get("integral", False)), **common)
             if kind == "replan":
-                return await self.replan(
+                return await self._replan(
                     request["app"], float(request["remaining_gi"]),
                     float(request["residual_deadline_hours"]),
                     float(request["residual_budget_dollars"]),

@@ -7,16 +7,30 @@ tests can assert bit-identical payloads across the two paths.
 
 All functions return plain ``dict``/``list``/``float`` trees ready for
 ``json.dumps``; nothing here depends on the service runtime.
+:func:`selection_to_dict` is the select schema.  The service writes the
+same text without building the tree: :class:`SelectionEncoder` keeps
+each frontier point's JSON around its two demand-dependent numbers.
 """
 
 from __future__ import annotations
 
+import json
+import math
+
+import numpy as np
+
 from repro.core.celia import Prediction
 from repro.core.optimizer import OptimizerAnswer
 from repro.core.planner import Plan
-from repro.core.selection import ParetoPoint, SelectionResult
+from repro.core.selection import (
+    FrontierIndex,
+    FrontierSlice,
+    ParetoPoint,
+    SelectionResult,
+)
 
 __all__ = [
+    "SelectionEncoder",
     "pareto_point_to_dict",
     "selection_to_dict",
     "prediction_to_dict",
@@ -57,6 +71,71 @@ def selection_to_dict(result: SelectionResult, *, top: int = 0) -> dict:
         "max_saving_fraction": (result.max_saving_fraction
                                 if feasible else None),
     }
+
+
+def _number(value: float) -> str:
+    """A float as ``json.dumps`` writes it."""
+    return repr(value) if math.isfinite(value) else json.dumps(value)
+
+
+class SelectionEncoder:
+    """:func:`selection_to_dict` as JSON text, from fragments per index.
+
+    A frontier point's configuration, capacity and unit cost are fixed
+    per index; only its time and cost depend on the demand.  The encoder
+    keeps each frontier position's text around those two numbers, built
+    the first time a query shows that position, so a query's text costs
+    two float ``repr`` calls per point and a join.
+    ``encode(answer, top=k)`` equals
+    ``json.dumps(selection_to_dict(index.materialize(answer), top=k))``
+    byte for byte.  (The times and costs of a kept point are finite —
+    they passed a strict ``<`` — so ``repr`` is the JSON form.)
+    """
+
+    def __init__(self, index: FrontierIndex):
+        self._index = index
+        self._total = index.space.size
+        self._heads: "list[str | None]" = [None] * index.frontier_size
+        self._tails: "list[str | None]" = [None] * index.frontier_size
+
+    def _build(self, positions: "list[int]") -> None:
+        """Write the fragments of frontier ``positions``."""
+        index = self._index
+        at = np.asarray(positions, dtype=np.int64)
+        for i, config, u, p in zip(
+                positions,
+                index.space.decode(index.frontier_rows[at] + 1).tolist(),
+                index.frontier_capacity[at].tolist(),
+                index.frontier_unit_cost[at].tolist()):
+            self._heads[i] = f'{{"configuration": {config}, "time_hours": '
+            self._tails[i] = (f', "capacity_gips": {u!r}, '
+                              f'"unit_cost_per_hour": {p!r}}}')
+
+    def encode(self, answer: FrontierSlice, *, top: int = 0) -> str:
+        """One query's ``result`` text; ``top`` as in
+        :func:`selection_to_dict`."""
+        heads, tails = self._heads, self._tails
+        shown = (answer.positions[:top] if top else answer.positions).tolist()
+        unbuilt = [i for i in shown if heads[i] is None]
+        if unbuilt:
+            self._build(unbuilt)
+        costs = answer.costs.tolist()
+        points = ", ".join([
+            f'{heads[i]}{t!r}, "cost_dollars": {c!r}{tails[i]}'
+            for i, t, c in zip(shown, answer.times.tolist(), costs)])
+        if costs:
+            low, high = min(costs), max(costs)
+            span = f"[{low!r}, {high!r}]"
+            saving = repr(1.0 - low / high)
+        else:
+            span = saving = "null"
+        return (f'{{"demand_gi": {_number(answer.demand_gi)}, '
+                f'"deadline_hours": {_number(answer.deadline_hours)}, '
+                f'"budget_dollars": {_number(answer.budget_dollars)}, '
+                f'"total_configurations": {self._total}, '
+                f'"feasible_count": {answer.feasible_count}, '
+                f'"pareto_count": {len(costs)}, "pareto": [{points}], '
+                f'"cost_span": {span}, "max_saving_fraction": {saving}}}')
 
 
 def prediction_to_dict(prediction: Prediction) -> dict:

@@ -321,13 +321,13 @@ class TestBatching:
         from repro.core.selection import StructuredIndex
 
         threads = []
-        real = StructuredIndex.select_batch
+        real = StructuredIndex.slices
 
         def recorded(self, *args, **kwargs):
             threads.append(threading.get_ident())
             return real(self, *args, **kwargs)
 
-        monkeypatch.setattr(StructuredIndex, "select_batch", recorded)
+        monkeypatch.setattr(StructuredIndex, "slices", recorded)
         service = make_service()
 
         async def run():

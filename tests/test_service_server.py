@@ -266,6 +266,25 @@ class TestHttpFraming:
         assert status_of(after) == 200
         assert errors == []
 
+    @pytest.mark.parametrize("extra", [b"", b"Content-Length: 91\r\n"])
+    def test_transfer_encoding_is_one_typed_501_and_closed(self, extra):
+        body = (b'{"app": "galaxy", "n": 65536, "a": 2000, '
+                b'"deadline_hours": 48, "budget_dollars": 350}')
+        request = (b"POST /v1/select HTTP/1.1\r\n"
+                   b"Transfer-Encoding: chunked\r\n" + extra + b"\r\n"
+                   + b"%x\r\n" % len(body) + body + b"\r\n0\r\n\r\n")
+        (reply, after), errors = framing_exchange(make_service(), request,
+                                                  HEALTH)
+        # One response, then EOF: the chunk stream is never parsed as a
+        # body or as a next request.
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert reply.startswith(b"HTTP/1.1 501 Not Implemented\r\n")
+        assert b"Connection: close" in reply
+        body = json.loads(reply.split(b"\r\n\r\n", 1)[1])
+        assert body["error"]["code"] == "unsupported_transfer_encoding"
+        assert status_of(after) == 200
+        assert errors == []
+
     def test_head_over_limit_is_400_and_closed(self):
         (reply, after), errors = framing_exchange(
             make_service(), padded_head(17 * 1024), HEALTH)
